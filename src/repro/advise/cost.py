@@ -24,12 +24,13 @@ Capacity enters through ``storage_overhead``: the model reports
 dimensions take their cut, so a budget constraint and a minimum-capacity
 constraint can push against each other on the frontier.
 
-All rates are non-negative; violations raise :class:`CostError` naming
-the field.
+All rates are finite and non-negative; violations raise
+:class:`CostError` naming the field.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Mapping
 
@@ -70,6 +71,12 @@ class CostModel:
             value = getattr(self, f.name)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise CostError(f.name, f"must be a number, got {value!r}")
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int beyond float range
+                finite = False
+            if not finite:
+                raise CostError(f.name, f"must be finite, got {value!r}")
             if value < 0:
                 raise CostError(f.name, f"must be >= 0, got {value!r}")
             object.__setattr__(self, f.name, float(value))

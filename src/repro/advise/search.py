@@ -115,7 +115,12 @@ def pareto_indices(
 
 @dataclass(frozen=True)
 class Candidate:
-    """One fully-evaluated design candidate."""
+    """One fully-evaluated design candidate.
+
+    :func:`advise` builds these for frontier members only, so every
+    returned candidate is feasible with no violations; infeasible and
+    dominated points are counted, not materialized.
+    """
 
     config: Any
     coords: Tuple[Tuple[str, Any], ...]
@@ -209,6 +214,34 @@ def _tie_rank(seed: int, point: SpacePoint) -> str:
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
+#: One feasible point as ``advise.cost`` keeps it:
+#: ``(objectives, tie_rank, point, result, cost)``.
+_Feasible = Tuple[
+    Tuple[float, float, float],
+    str,
+    SpacePoint,
+    ReliabilityResult,
+    CostBreakdown,
+]
+
+
+def _candidate(entry: _Feasible, method: str) -> Candidate:
+    """The :class:`Candidate` for one feasible ``advise.cost`` entry."""
+    objectives, tie_rank, point, result, cost = entry
+    return Candidate(
+        config=point.config,
+        coords=point.coords,
+        params=point.params,
+        result=result,
+        cost=cost,
+        objectives=objectives,
+        feasible=True,
+        violations=(),
+        tie_rank=tie_rank,
+        key=point_key(point.config, point.params, method),
+    )
+
+
 def advise(
     request: AdviseRequest,
     *,
@@ -254,66 +287,65 @@ def advise(
                 method=request.method,
             )
         with obs.span("advise.cost"):
-            candidates: List[Candidate] = []
+            # Only feasible points can reach the frontier, so only they
+            # are ranked; Candidates are built for frontier members alone.
+            feasible: List[_Feasible] = []
             for point, result in zip(admissible, results):
                 cost = request.cost_model.breakdown(point.config, point.params)
-                violations = []
                 if not (
                     result.events_per_pb_year
                     < request.target_events_per_pb_year
                 ):
-                    violations.append("reliability-target")
+                    continue
                 if (
                     request.max_annual_cost is not None
                     and cost.total > request.max_annual_cost
                 ):
-                    violations.append("budget")
+                    continue
                 if (
                     request.min_usable_pb is not None
                     and cost.usable_pb < request.min_usable_pb
                 ):
-                    violations.append("capacity")
-                candidates.append(
-                    Candidate(
-                        config=point.config,
-                        coords=point.coords,
-                        params=point.params,
-                        result=result,
-                        cost=cost,
-                        objectives=(
-                            cost.total,
-                            result.events_per_pb_year,
-                            cost.storage_overhead,
-                        ),
-                        feasible=not violations,
-                        violations=tuple(violations),
-                        tie_rank=_tie_rank(request.seed, point),
-                        key=point_key(
-                            point.config, point.params, request.method
-                        ),
+                    continue
+                objectives = (
+                    cost.total,
+                    result.events_per_pb_year,
+                    cost.storage_overhead,
+                )
+                feasible.append(
+                    (
+                        objectives,
+                        _tie_rank(request.seed, point),
+                        point,
+                        result,
+                        cost,
                     )
                 )
         with obs.span("advise.frontier"):
-            feasible = [c for c in candidates if c.feasible]
             front_idx = pareto_indices(
-                [c.objectives for c in feasible],
-                [c.tie_rank for c in feasible],
+                [entry[0] for entry in feasible],
+                [entry[1] for entry in feasible],
             )
-            frontier = tuple(feasible[i] for i in front_idx)
-            recommended = (
-                min(feasible, key=lambda c: (c.objectives, c.tie_rank))
-                if feasible
-                else None
+            frontier = tuple(
+                _candidate(feasible[i], request.method) for i in front_idx
             )
-        registry.counter("advise.candidates").inc(len(candidates))
+            # The lexicographic minimum over all feasible points is never
+            # dominated, and pareto_indices keeps the lowest rank among
+            # equal vectors, so the minimum always lies on the frontier.
+            recommended = min(
+                frontier,
+                key=lambda c: (c.objectives, c.tie_rank),
+                default=None,
+            )
+        registry.counter("advise.candidates").inc(len(admissible))
         registry.counter("advise.skipped").inc(skipped)
         registry.counter("advise.frontier.points").inc(len(frontier))
-        search_span.set("evaluated", len(candidates))
+        search_span.set("evaluated", len(admissible))
         search_span.set("frontier", len(frontier))
     return AdviseResult(
         request=request,
         base_params_key=base.cache_key(),
-        evaluated=len(candidates),
+        evaluated=len(admissible),
         skipped=skipped,
         feasible_count=len(feasible),
         dominated_count=len(feasible) - len(frontier),

@@ -30,6 +30,7 @@ silent-skip semantics.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -39,6 +40,7 @@ from typing import (
     Iterator,
     List,
     Mapping,
+    Optional,
     Tuple,
 )
 
@@ -251,8 +253,8 @@ class ParamAxis:
     """One swept dimension of a search space.
 
     ``name`` is a numeric :class:`Parameters` field, or a derived axis
-    from :data:`DERIVED_AXES`.  Values must be numbers; duplicates are
-    rejected (they would enumerate indistinguishable candidates).
+    from :data:`DERIVED_AXES`.  Values must be finite numbers; duplicates
+    are rejected (they would enumerate indistinguishable candidates).
     """
 
     name: str
@@ -268,6 +270,14 @@ class ParamAxis:
             if not isinstance(v, (int, float)) or isinstance(v, bool):
                 raise SpaceError(
                     self.name, f"values must be numbers, got {v!r}"
+                )
+            try:
+                finite = math.isfinite(v)
+            except OverflowError:  # an int beyond float range
+                finite = False
+            if not finite:
+                raise SpaceError(
+                    self.name, f"values must be finite, got {v!r}"
                 )
         if len(set(self.values)) != len(self.values):
             raise SpaceError(self.name, "duplicate values")
@@ -308,6 +318,10 @@ class ParamAxis:
 # --------------------------------------------------------------------- #
 
 
+#: A point's grid coordinates: (axis name, value) pairs in axis order.
+Coords = Tuple[Tuple[str, Any], ...]
+
+
 @dataclass(frozen=True)
 class SpacePoint:
     """One feasible enumerated point: a config, its grid coordinates
@@ -315,7 +329,7 @@ class SpacePoint:
     parameter set."""
 
     config: "Configuration"
-    coords: Tuple[Tuple[str, Any], ...]
+    coords: Coords
     params: Parameters
 
 
@@ -372,32 +386,35 @@ class SearchSpace:
         return iter(points)
 
     def grid(self, base: Parameters) -> Tuple[List[SpacePoint], int]:
-        """Every feasible point plus the number of skipped combinations."""
+        """Every feasible point plus the number of skipped combinations.
+
+        Each axis combination is resolved once and its (frozen)
+        parameter set shared by every configuration's point; only the
+        ``R <= t`` guard depends on the configuration.
+        """
         self.validate(base)
-        combos = list(
-            itertools.product(*(axis.values for axis in self.axes))
-        )
+        resolved: List[Optional[Tuple[Coords, Parameters]]] = []
+        for combo in itertools.product(*(axis.values for axis in self.axes)):
+            params = base
+            try:
+                for axis, value in zip(self.axes, combo):
+                    params = axis.apply(params, value)
+            except (ParameterError, ValueError):
+                resolved.append(None)
+                continue
+            coords = tuple(
+                (axis.name, value) for axis, value in zip(self.axes, combo)
+            )
+            resolved.append((coords, params))
         points: List[SpacePoint] = []
         skipped = 0
         for config in self.configs.configurations(major=self.major):
-            for combo in combos:
-                params = base
-                try:
-                    for axis, value in zip(self.axes, combo):
-                        params = axis.apply(params, value)
-                except (ParameterError, ValueError):
+            t = config.node_fault_tolerance
+            for entry in resolved:
+                if entry is None or entry[1].redundancy_set_size <= t:
                     skipped += 1
                     continue
-                if (
-                    params.redundancy_set_size
-                    <= config.node_fault_tolerance
-                ):
-                    skipped += 1
-                    continue
-                coords = tuple(
-                    (axis.name, value)
-                    for axis, value in zip(self.axes, combo)
-                )
+                coords, params = entry
                 points.append(
                     SpacePoint(config=config, coords=coords, params=params)
                 )

@@ -20,7 +20,19 @@ class TestValidation:
         assert model.drive_cost_per_year == 90.0
         assert model.fixed_cost_per_year == 0.0
 
-    @pytest.mark.parametrize("bad", [-1.0, "ninety", True, None])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            -1.0,
+            "ninety",
+            True,
+            None,
+            float("nan"),
+            float("inf"),
+            float("-inf"),
+            pytest.param(10 ** 400, id="int-beyond-float-range"),
+        ],
+    )
     def test_bad_values_name_the_field(self, bad):
         with pytest.raises(CostError) as excinfo:
             CostModel(node_cost_per_year=bad)

@@ -1,6 +1,7 @@
 """Tests for the Pareto search (repro.advise.search) and the request
 contract (repro.advise.request)."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -140,6 +141,29 @@ class TestAdvise:
             == result.feasible_count - len(result.frontier)
         )
 
+    def test_accounting_with_skips_and_infeasible_points(self):
+        # R=2 skips against t=2 (R <= t), R=16 > N=8 is rejected by the
+        # parameter model, and the reliability target drops some points.
+        space = SearchSpace(
+            configs=ConfigSpace(fault_tolerances=(1, 2)),
+            axes=(
+                ParamAxis("node_set_size", (8, 32)),
+                ParamAxis("redundancy_set_size", (2, 6, 16)),
+            ),
+        )
+        counter = repro.obs.global_metrics().counter("advise.candidates")
+        before = counter.value
+        result = advise(AdviseRequest(space=space))
+        assert result.skipped > 0
+        assert 0 < result.feasible_count < result.evaluated
+        assert result.evaluated + result.skipped == space.size()
+        assert counter.value - before == result.evaluated
+        assert result.recommended in result.frontier
+        assert (
+            result.dominated_count
+            == result.feasible_count - len(result.frontier)
+        )
+
     def test_frontier_reliability_bitwise_equals_evaluate(self):
         result = advise(AdviseRequest(space=SMALL_SPACE))
         assert result.frontier
@@ -188,11 +212,65 @@ class TestAdvise:
 
     def test_recommended_is_minimum_feasible(self):
         result = advise(AdviseRequest(space=SMALL_SPACE))
+        assert result.recommended in result.frontier
         feasible_objectives = sorted(
             c.to_dict()["objectives"]
             for c in result.frontier
         )
         assert list(result.recommended.objectives) == feasible_objectives[0]
+
+    def test_matches_brute_force_over_every_feasible_point(self):
+        # Price and evaluate every point directly, keep the feasible
+        # ones, and check the frontier and recommendation against them.
+        request = AdviseRequest(
+            space=SearchSpace(
+                configs=ConfigSpace(fault_tolerances=(1, 2)),
+                axes=(
+                    ParamAxis("redundancy_set_size", (4, 6, 8)),
+                    ParamAxis("drives_per_node", (4, 12)),
+                ),
+            ),
+            max_annual_cost=1.6e5,  # drops the 12-drive nodes
+            seed=3,
+        )
+        feasible = []
+        for point in request.space.enumerate(BASE):
+            result = repro.evaluate(point.config, point.params)
+            cost = request.cost_model.breakdown(point.config, point.params)
+            if (
+                result.events_per_pb_year
+                < request.target_events_per_pb_year
+                and cost.total <= request.max_annual_cost
+            ):
+                material = (
+                    f"{request.seed}:{point.config.key}:"
+                    f"{point.params.cache_key()}"
+                )
+                feasible.append(
+                    (
+                        (
+                            cost.total,
+                            result.events_per_pb_year,
+                            cost.storage_overhead,
+                        ),
+                        hashlib.sha256(material.encode()).hexdigest(),
+                    )
+                )
+        result = advise(request)
+        assert result.feasible_count == len(feasible) > 0
+        objectives = [vec for vec, _ in feasible]
+        assert [c.objectives for c in result.frontier] == sorted(
+            {
+                vec
+                for vec in objectives
+                if not any(dominates(o, vec) for o in objectives)
+            }
+        )
+        best = min(feasible)
+        assert (
+            result.recommended.objectives,
+            result.recommended.tie_rank,
+        ) == best
 
     def test_shared_engine_matches_fresh_engine(self):
         request = AdviseRequest(space=SMALL_SPACE)

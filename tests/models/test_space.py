@@ -8,6 +8,7 @@ infeasible points, and the contract that every validation failure names
 the offending axis.
 """
 
+import itertools
 import json
 
 import pytest
@@ -18,6 +19,7 @@ from repro.models import (
     Configuration,
     InternalRaid,
     ParamAxis,
+    ParameterError,
     Parameters,
     SearchSpace,
     SpaceError,
@@ -28,6 +30,31 @@ from repro.models.scrubbing import ScrubbingModel
 
 
 BASE = Parameters.baseline()
+
+
+def reference_grid(space, base):
+    """Reference enumeration: every axis combination resolved afresh
+    for each configuration, skipping combinations the parameter model
+    rejects and those with ``R <= t``."""
+    combos = list(itertools.product(*(a.values for a in space.axes)))
+    points, skipped = [], 0
+    for config in space.configs.configurations(major=space.major):
+        for combo in combos:
+            params = base
+            try:
+                for axis, value in zip(space.axes, combo):
+                    params = axis.apply(params, value)
+            except (ParameterError, ValueError):
+                skipped += 1
+                continue
+            if params.redundancy_set_size <= config.node_fault_tolerance:
+                skipped += 1
+                continue
+            coords = tuple(
+                (axis.name, value) for axis, value in zip(space.axes, combo)
+            )
+            points.append((config, coords, params))
+    return points, skipped
 
 
 class TestConfigSpace:
@@ -125,6 +152,13 @@ class TestParamAxis:
             ("redundancy_set_size", ("six",)),
             ("redundancy_set_size", (6, 6)),
             ("redundancy_set_size", (True,)),
+            ("drives_per_node", (8, float("inf"))),
+            ("redundancy_set_size", (8, float("-inf"))),
+            ("node_mttf_hours", (8, float("nan"))),
+            ("scrub_interval_hours", (8, float("inf"))),
+            pytest.param(
+                "node_mttf_hours", (8, 10 ** 400), id="int-beyond-float-range"
+            ),
         ],
     )
     def test_validation_names_axis(self, name, values):
@@ -200,6 +234,36 @@ class TestSearchSpace:
         assert point.config == Configuration(InternalRaid.RAID5, 2)
         assert point.coords == (("redundancy_set_size", 8),)
         assert point.params == BASE.replace(redundancy_set_size=8)
+
+    @pytest.mark.parametrize("major", ["fault_tolerance", "internal"])
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            # R > N combos (parameter-model rejections) and R <= t skips.
+            (
+                ParamAxis("node_set_size", (8, 32)),
+                ParamAxis("redundancy_set_size", (2, 3, 6, 16)),
+            ),
+            # A derived axis between two plain ones.
+            (
+                ParamAxis("redundancy_set_size", (3, 8)),
+                ParamAxis("scrub_interval_hours", (24.0, 730.0)),
+                ParamAxis("drive_mttf_hours", (3.0e5, 1.0e6)),
+            ),
+            (),
+        ],
+        ids=["r-gt-n", "derived", "no-axes"],
+    )
+    def test_grid_matches_reference_loop(self, axes, major):
+        space = SearchSpace(axes=axes, major=major)
+        points, skipped = space.grid(BASE)
+        expected, expected_skipped = reference_grid(space, BASE)
+        assert [(p.config, p.coords, p.params) for p in points] == expected
+        assert skipped == expected_skipped
+        # Points with equal coords share one parameter set object.
+        by_coords = {}
+        for p in points:
+            assert by_coords.setdefault(p.coords, p.params) is p.params
 
     def test_validate_names_offending_axis(self):
         space = SearchSpace(axes=(ParamAxis("not_a_field", (1,)),))

@@ -110,6 +110,34 @@ def test_bad_axis_answers_400_naming_the_axis():
     assert "no_such_field" in payload["error"]
 
 
+@pytest.mark.parametrize(
+    "body, field",
+    [
+        ({"space": {"axes": {"drives_per_node": [float("inf")]}}},
+         "drives_per_node"),
+        ({"space": {"axes": {"node_mttf_hours": [float("nan")]}}},
+         "node_mttf_hours"),
+        ({"cost_model": {"drive_cost_per_year": float("nan")}},
+         "drive_cost_per_year"),
+        ({"cost_model": {"node_cost_per_year": float("-inf")}},
+         "node_cost_per_year"),
+    ],
+)
+def test_non_finite_input_answers_400_naming_the_field(body, field):
+    # json.dumps spells these Infinity / NaN, which the server's parser
+    # accepts, so they must be rejected by validation, not by a 500.
+    async def drive():
+        async with serving(ServeConfig(port=0)) as server:
+            return await _request(
+                server.host, server.port, "POST", "/v1/advise", body
+            )
+
+    status, _, payload = asyncio.run(drive())
+    assert status == 400
+    assert field in payload["error"]
+    assert "finite" in payload["error"]
+
+
 def test_oversized_space_answers_400():
     async def drive():
         async with serving(ServeConfig(port=0)) as server:
