@@ -30,12 +30,11 @@ All rates are finite and non-negative; violations raise
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Mapping
 
 from ..models.configurations import Configuration
-from ..models.parameters import HOURS_PER_YEAR, Parameters
+from ..models.parameters import HOURS_PER_YEAR, Parameters, is_finite
 from ..models.raid import InternalRaid
 from ..models.space import storage_overhead
 
@@ -71,11 +70,7 @@ class CostModel:
             value = getattr(self, f.name)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise CostError(f.name, f"must be a number, got {value!r}")
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:  # an int beyond float range
-                finite = False
-            if not finite:
+            if not is_finite(value):
                 raise CostError(f.name, f"must be finite, got {value!r}")
             if value < 0:
                 raise CostError(f.name, f"must be >= 0, got {value!r}")

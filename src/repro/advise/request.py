@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional
 
 from ..models.metrics import PAPER_TARGET_EVENTS_PER_PB_YEAR
+from ..models.parameters import is_finite
 from ..models.space import ParamAxis, SearchSpace
 from .cost import CostModel
 
@@ -73,25 +74,19 @@ class AdviseRequest:
             raise AdviseError("space must be a SearchSpace")
         if not isinstance(self.cost_model, CostModel):
             raise AdviseError("cost_model must be a CostModel")
-        target = self.target_events_per_pb_year
-        if (
-            not isinstance(target, (int, float))
-            or isinstance(target, bool)
-            or not target > 0
+        for name in (
+            "target_events_per_pb_year",
+            "max_annual_cost",
+            "min_usable_pb",
         ):
-            raise AdviseError(
-                f"target_events_per_pb_year must be > 0, got {target!r}"
-            )
-        object.__setattr__(self, "target_events_per_pb_year", float(target))
-        for name in ("max_annual_cost", "min_usable_pb"):
             bound = getattr(self, name)
-            if bound is None:
+            if bound is None and name != "target_events_per_pb_year":
                 continue
-            if (
-                not isinstance(bound, (int, float))
-                or isinstance(bound, bool)
-                or not bound > 0
-            ):
+            if not isinstance(bound, (int, float)) or isinstance(bound, bool):
+                raise AdviseError(f"{name} must be > 0, got {bound!r}")
+            if not is_finite(bound):
+                raise AdviseError(f"{name} must be finite, got {bound!r}")
+            if not bound > 0:
                 raise AdviseError(f"{name} must be > 0, got {bound!r}")
             object.__setattr__(self, name, float(bound))
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):

@@ -326,15 +326,21 @@ class CTMC:
         This is the MTTDL when the absorbing states model data loss.
         Computed as ``<pi_B(0)> . R^{-1} . 1`` per the appendix.
 
+        Runs the dense backend's MTTDL kernel directly: one GTH solve
+        that stops at the initial state's row, bitwise equal to
+        :meth:`absorb`'s ``mttdl`` without its per-state analysis.
+
         Raises:
             NotAbsorbingError: if no absorbing state is reachable from the
                 initial state (the expectation would be infinite).
         """
+        from .solvers import DenseGthBackend
+
         # Guarded so the hot path pays one bool check when tracing is off.
         if _tracing_active():
-            with _obs_span("ctmc.solve", states=len(self.states)):
-                return self.absorb().mttdl
-        return self.absorb().mttdl
+            with _obs_span("ctmc.solve", states=len(self._states)):
+                return DenseGthBackend._mttdl_batched((self,))[0]
+        return DenseGthBackend._mttdl_batched((self,))[0]
 
     def absorption_system(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The assembled GTH input system for this chain.

@@ -21,7 +21,7 @@ probabilities all follow by non-negative arithmetic.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -43,10 +43,19 @@ def _validate(rates: np.ndarray, absorb: np.ndarray) -> Tuple[np.ndarray, np.nda
     return rates.copy(), absorb.copy()
 
 
+def _check_rows(rows: Optional[int], n: int) -> int:
+    if rows is None:
+        return n
+    if not 1 <= rows <= n:
+        raise ValueError(f"rows must be in 1..{n}, got {rows}")
+    return rows
+
+
 def gth_solve(
     transient_rates: np.ndarray,
     absorb_rates: np.ndarray,
     rhs: np.ndarray,
+    rows: Optional[int] = None,
 ) -> np.ndarray:
     """Solve ``(D - A) X = B`` for an absorbing-chain M-matrix, accurately.
 
@@ -57,10 +66,14 @@ def gth_solve(
             the absorbing states; the implicit diagonal is
             ``D[i, i] = sum_j A[i, j] + absorb_rates[i]``.
         rhs: non-negative right-hand side, shape (n,) or (n, m).
+        rows: back-substitute only rows ``0 .. rows-1`` and return just
+            those (default: all ``n``).  Row ``k`` depends only on rows
+            before it, so each returned row is bitwise the full solve's.
 
     Returns:
-        ``X`` with the same trailing shape as ``rhs``; all entries are
-        non-negative and computed without subtractive cancellation.
+        ``X`` with the same trailing shape as ``rhs`` (``rows`` leading
+        rows when given); all entries are non-negative and computed
+        without subtractive cancellation.
 
     Raises:
         ValueError: on negative inputs, shape mismatch, or a state that
@@ -94,11 +107,13 @@ def gth_solve(
     # Back substitution, states 0 .. n-1.
     if b[0] <= 0:
         raise ValueError("state 0 cannot reach absorption; the system is singular")
+    rows = _check_rows(rows, n)
     x[0] = x[0] / b[0]
-    for p in range(1, n):
+    for p in range(1, rows):
         d_p = a[p, :p].sum() + b[p]
         x[p] = (x[p] + a[p, :p] @ x[:p]) / d_p
 
+    x = x[:rows]
     return x[:, 0] if squeeze else x
 
 
@@ -106,6 +121,7 @@ def gth_solve_batched(
     transient_rates: np.ndarray,
     absorb_rates: np.ndarray,
     rhs: np.ndarray,
+    rows: Optional[int] = None,
 ) -> np.ndarray:
     """Solve ``(D - A) X = B`` for a *batch* of same-shape absorbing systems.
 
@@ -121,9 +137,11 @@ def gth_solve_batched(
             off-diagonal rate matrix (zero diagonals).
         absorb_rates: shape ``(batch, n)``.
         rhs: shape ``(batch, n)`` or ``(batch, n, m)``.
+        rows: as in :func:`gth_solve` — stop back-substitution after row
+            ``rows - 1`` and return only the leading ``rows`` rows.
 
     Returns:
-        ``X`` with the same shape as ``rhs``.
+        ``X`` with the same shape as ``rhs`` (``rows`` rows when given).
 
     Raises:
         ValueError: on negative inputs, shape mismatch, or any batch member
@@ -172,12 +190,14 @@ def gth_solve_batched(
             f"state 0 of batch member {bad} cannot reach absorption; "
             "the system is singular"
         )
+    rows = _check_rows(rows, n)
     x[:, 0, :] = x[:, 0, :] / b[:, 0, None]
-    for p in range(1, n):
+    for p in range(1, rows):
         d_p = a[:, p, :p].sum(axis=-1) + b[:, p]
         dot = np.matmul(a[:, p, None, :p], x[:, :p, :])[:, 0, :]
         x[:, p, :] = (x[:, p, :] + dot) / d_p[:, None]
 
+    x = x[:, :rows]
     return x[:, :, 0] if squeeze else x
 
 

@@ -44,7 +44,7 @@ import numpy as np
 
 from .. import obs
 from .ctmc import CTMC, AbsorptionResult, CTMCError, NotAbsorbingError
-from .linalg import gth_fundamental_matrix, gth_solve_batched
+from .linalg import gth_fundamental_matrix, gth_solve, gth_solve_batched
 from .sparse import (
     SparseChain,
     power_stationary,
@@ -367,10 +367,16 @@ class DenseGthBackend(SolverBackend):
         """Mean time to absorption of many chains, batching by structure.
 
         Chains are grouped by (state order, transient/absorbing
-        partition, initial state); each group is stacked and solved in
-        one batched GTH elimination.  Every returned float is bitwise
-        equal to the chain's own
-        :meth:`~repro.core.ctmc.CTMC.mean_time_to_absorption`.
+        partition, initial state); a group of one is solved by the scalar
+        GTH elimination, a larger group is stacked and solved in one
+        batched elimination.  Either way back-substitution stops at the
+        initial state's row, the only one the answer reads.  Every
+        returned float is bitwise equal to the chain's own
+        :meth:`~repro.core.ctmc.CTMC.absorb` MTTDL.
+
+        Raises:
+            NotAbsorbingError: if a chain has a transient state that
+                cannot reach the absorbing set.
         """
         results: List[Optional[float]] = [None] * len(chains)
         groups: Dict[Tuple, List[int]] = {}
@@ -390,15 +396,27 @@ class DenseGthBackend(SolverBackend):
             with obs.span(
                 "solve.gth", states=len(signature[0]), points=len(members)
             ):
-                transient = list(signature[1])
-                init_pos = transient.index(signature[3])
-                a, b, _ = CTMC.stacked_absorption_system(
-                    [chains[i] for i in members]
-                )
-                n = a.shape[1]
-                rhs = np.broadcast_to(np.eye(n), (len(members), n, n)).copy()
-                fundamental = gth_solve_batched(a, b, rhs)
-                taus = fundamental[:, init_pos, :]
+                init_pos = signature[1].index(signature[3])
+                try:
+                    if len(members) == 1:
+                        a, b, _ = chains[members[0]].absorption_system()
+                        n = a.shape[0]
+                        tau = gth_solve(a, b, np.eye(n), rows=init_pos + 1)
+                        taus = tau[None, init_pos]
+                    else:
+                        a, b, _ = CTMC.stacked_absorption_system(
+                            [chains[i] for i in members]
+                        )
+                        n = a.shape[1]
+                        rhs = np.broadcast_to(
+                            np.eye(n), (len(members), n, n)
+                        ).copy()
+                        fundamental = gth_solve_batched(
+                            a, b, rhs, rows=init_pos + 1
+                        )
+                        taus = fundamental[:, init_pos, :]
+                except ValueError as exc:
+                    raise NotAbsorbingError(str(exc)) from exc
                 for j, i in enumerate(members):
                     results[i] = float(taus[j].sum())
         return results  # type: ignore[return-value]

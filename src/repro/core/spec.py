@@ -41,6 +41,7 @@ import operator
 from dataclasses import dataclass
 from typing import (
     Any,
+    Callable,
     Dict,
     Hashable,
     List,
@@ -414,9 +415,71 @@ class SpecBuilder:
 # the compiled form
 # --------------------------------------------------------------------- #
 
+#: One tape instruction: ``values.append(fn(values[left], values[right]))``.
+Instruction = Tuple[Callable[[Any, Any], Any], int, int]
+
+
+def _lower(
+    exprs: Sequence[RateExpr],
+) -> Tuple[Tuple[str, ...], List[float], Tuple[Instruction, ...], Tuple[int, ...]]:
+    """Flatten rate trees into one straight-line instruction tape.
+
+    Returns ``(params, consts, instructions, roots)``.  A run starts its
+    value list as ``[env[p] for p in params] + consts`` and appends one
+    value per instruction; ``roots[e]`` is the slot holding edge ``e``'s
+    rate.  Structurally equal subtrees share one slot, and every
+    instruction applies its node's own operator to the same (left,
+    right) operands, so each slot holds bitwise the float
+    :meth:`RateExpr.evaluate` returns for that subtree.
+    """
+    ids: Dict[Tuple, int] = {}
+    nodes: List[Tuple] = []
+
+    def visit(node: RateExpr) -> int:
+        if isinstance(node, BinOp):
+            key = entry = (node.op, visit(node.left), visit(node.right))
+        elif isinstance(node, Param):
+            key = entry = ("param", node.name)
+        elif isinstance(node, Const):
+            # Keyed by repr so 0.0 and -0.0 keep separate slots.
+            key, entry = ("const", repr(node.value)), ("const", node.value)
+        else:
+            raise SpecError(f"cannot compile rate node {node!r}")
+        found = ids.get(key)
+        if found is None:
+            found = ids[key] = len(nodes)
+            nodes.append(entry)
+        return found
+
+    roots = [visit(expr) for expr in exprs]
+    # Parameters, then constants, then instructions in visit order (a
+    # post-order, so every operand precedes its use).
+    rank = {"param": 0, "const": 1}
+    order = sorted(range(len(nodes)), key=lambda i: (rank.get(nodes[i][0], 2), i))
+    slot = {node_id: position for position, node_id in enumerate(order)}
+    params: List[str] = []
+    consts: List[float] = []
+    instructions: List[Instruction] = []
+    for node_id in order:
+        kind, *operands = nodes[node_id]
+        if kind == "param":
+            params.append(operands[0])
+        elif kind == "const":
+            consts.append(operands[0])
+        else:
+            instructions.append(
+                (_BINOPS[kind], slot[operands[0]], slot[operands[1]])
+            )
+    return (
+        tuple(params),
+        consts,
+        tuple(instructions),
+        tuple(slot[root] for root in roots),
+    )
+
 
 class CompiledChain:
-    """A spec lowered once: fixed topology + vectorized rate kernel.
+    """A spec lowered once: fixed topology + straight-line rate tape.
 
     The structure (state order, edge index arrays, initial state) is
     frozen at compile time, so — unlike a
@@ -425,9 +488,15 @@ class CompiledChain:
     can silently change: :attr:`structure_rebuilds` is 0 by construction
     and :attr:`hits` counts every rate-only re-bind the compile paid for.
 
+    The edge rate trees are lowered once into a flat instruction tape
+    (see :func:`_lower`); :meth:`bind`, :meth:`rate_tensor` and
+    :meth:`bind_batch` all run that tape, on scalar or vector
+    environments, instead of walking the trees per call.
+
     Attributes:
         spec: the source :class:`ModelSpec`.
         spec_hash: the spec's content hash (cache / provenance key).
+        param_names: the spec's sorted parameter names.
         hits: number of ``bind``/``bind_batch`` point-bindings served by
             this compiled structure.
         structure_rebuilds: always 0 — kept as the explicit counterpart
@@ -437,12 +506,16 @@ class CompiledChain:
     __slots__ = (
         "spec",
         "spec_hash",
+        "param_names",
         "states",
         "edge_keys",
         "initial_state",
         "hits",
         "structure_rebuilds",
-        "_exprs",
+        "_tape_params",
+        "_tape_consts",
+        "_tape",
+        "_edge_slots",
         "_index",
         "_src_idx",
         "_dst_idx",
@@ -453,14 +526,18 @@ class CompiledChain:
     def __init__(self, spec: ModelSpec) -> None:
         self.spec = spec
         self.spec_hash = spec.spec_hash
+        self.param_names: Tuple[str, ...] = spec.param_names
         self.states: Tuple[State, ...] = spec.states
         self.edge_keys: Tuple[Tuple[State, State], ...] = tuple(
             (src, dst) for src, dst, _ in spec.edges
         )
         self.initial_state: State = spec.initial_state
-        self._exprs: Tuple[RateExpr, ...] = tuple(
-            expr for _, _, expr in spec.edges
-        )
+        (
+            self._tape_params,
+            self._tape_consts,
+            self._tape,
+            self._edge_slots,
+        ) = _lower([expr for _, _, expr in spec.edges])
         self._states_list = list(spec.states)
         self._index: Dict[State, int] = {
             s: i for i, s in enumerate(spec.states)
@@ -486,12 +563,26 @@ class CompiledChain:
     # -- rate kernel --------------------------------------------------- #
 
     def _check_env(self, env: Env) -> None:
-        missing = [p for p in self.spec.param_names if p not in env]
+        missing = [p for p in self.param_names if p not in env]
         if missing:
             raise SpecError(
                 f"environment for {self.spec.name!r} is missing "
                 f"parameters: {', '.join(missing)}"
             )
+
+    def edge_rates(self, env: Env) -> List[Any]:
+        """Each edge's rate under ``env`` (scalars or arrays), in edge
+        order — one run of the tape, bitwise the values of the spec's
+        :meth:`RateExpr.evaluate` calls."""
+        try:
+            values = [env[name] for name in self._tape_params]
+        except KeyError:
+            self._check_env(env)
+            raise
+        values += self._tape_consts
+        for fn, left, right in self._tape:
+            values.append(fn(values[left], values[right]))
+        return [values[slot] for slot in self._edge_slots]
 
     @staticmethod
     def _num_points(env: Env) -> int:
@@ -514,20 +605,12 @@ class CompiledChain:
         """The ``(points, edges)`` rate tensor for a vector environment.
 
         Each environment entry is a scalar (broadcast) or a length-``P``
-        array; every edge expression is evaluated once, vectorized over
-        all points — the single numpy pass that replaces per-point chain
-        reconstruction.  Each distinct expression is evaluated exactly
-        once per call (edges sharing a rate share the computation).
+        array; the tape runs once, vectorized over all points — the
+        single numpy pass that replaces per-point chain reconstruction.
         """
-        self._check_env(env)
         points = self._num_points(env)
-        rates = np.empty((points, len(self._exprs)), dtype=float)
-        cache: Dict[RateExpr, Any] = {}
-        for e, expr in enumerate(self._exprs):
-            value = cache.get(expr)
-            if value is None:
-                value = expr.evaluate(env)
-                cache[expr] = value
+        rates = np.empty((points, len(self._edge_slots)), dtype=float)
+        for e, value in enumerate(self.edge_rates(env)):
             rates[:, e] = value
         return rates
 
@@ -541,15 +624,8 @@ class CompiledChain:
         assigned once into a zero matrix and the diagonal derived by the
         same negated row sum.
         """
-        self._check_env(env)
         q = np.zeros((self._n, self._n), dtype=float)
-        cache: Dict[RateExpr, Any] = {}
-        for e, expr in enumerate(self._exprs):
-            value = cache.get(expr)
-            if value is None:
-                value = expr.evaluate(env)
-                cache[expr] = value
-            q[self._src_idx[e], self._dst_idx[e]] = value
+        q[self._src_idx, self._dst_idx] = self.edge_rates(env)
         np.fill_diagonal(q, -q.sum(axis=1))
         self.hits += 1
         return CTMC._from_assembled(
@@ -570,7 +646,6 @@ class CompiledChain:
         """
         from .sparse import CsrMatrix, SparseChain
 
-        self._check_env(env)
         rates = self.rate_tensor(env)
         csr = CsrMatrix.from_coo(
             self._src_idx, self._dst_idx, rates[0], (self._n, self._n)

@@ -226,7 +226,7 @@ def _bind_group(
             return [compiled.bind(envs[0])]
         stacked = {
             name: np.array([env[name] for env in envs])
-            for name in compiled.spec.param_names
+            for name in compiled.param_names
         }
         return compiled.bind_batch(stacked)
 

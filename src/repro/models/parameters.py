@@ -26,6 +26,7 @@ Baseline values (Section 6)::
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Any, Dict
 
@@ -35,6 +36,15 @@ KB = 1024
 MB = 10**6
 GB = 10**9
 HOURS_PER_YEAR = 8766.0  # 365.25 days, the convention we use throughout
+
+
+def is_finite(value: Any) -> bool:
+    """``math.isfinite`` that also answers False for an int beyond float
+    range (where ``math.isfinite`` raises ``OverflowError``)."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 class ParameterError(ValueError):
@@ -92,6 +102,10 @@ class Parameters:
     rebuild_bandwidth_fraction: float = 0.10
 
     def __post_init__(self) -> None:
+        for name in _FIELD_NAMES:
+            value = getattr(self, name)
+            if not is_finite(value):
+                raise ParameterError(f"{name} must be finite, got {value!r}")
         positive = [
             ("node_mttf_hours", self.node_mttf_hours),
             ("drive_mttf_hours", self.drive_mttf_hours),
@@ -246,3 +260,7 @@ class Parameters:
         return digest
 
 
+
+
+#: Every field, in declaration order (the finiteness check walks them).
+_FIELD_NAMES = tuple(f.name for f in dataclasses.fields(Parameters))

@@ -23,9 +23,9 @@ consume (Section 4.2):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Callable, Optional, Union
 
 from ..core import CTMC, ChainBuilder
 from .parameters import Parameters
@@ -69,12 +69,27 @@ class ArrayRates:
         array_failure_rate: lambda_D, array (data-losing) failures per hour.
         restripe_sector_loss_rate: lambda_S, hard-error losses during
             re-stripes per hour.
-        mttdl_hours: the array's own mean time to data loss.
+        mttdl_source: the array's own MTTDL, or a zero-argument callable
+            that computes it.  Node-level models never read it, so the
+            approximate rates pass the array chain's solve here and it
+            runs only if :attr:`mttdl_hours` is read.  Not part of
+            equality or hashing.
     """
 
     array_failure_rate: float
     restripe_sector_loss_rate: float
-    mttdl_hours: float
+    mttdl_source: Union[float, Callable[[], float]] = field(
+        compare=False, repr=False
+    )
+
+    @property
+    def mttdl_hours(self) -> float:
+        """The array's own mean time to data loss (solved on first read)."""
+        value = self.mttdl_source
+        if callable(value):
+            value = value()
+            object.__setattr__(self, "mttdl_source", value)
+        return value
 
 
 # --------------------------------------------------------------------- #
@@ -277,7 +292,7 @@ def _exact_rates(chain_builder, restripe_rate: float) -> "ArrayRates":
     return ArrayRates(
         array_failure_rate=p_drives / mttdl,
         restripe_sector_loss_rate=p_sector / mttdl,
-        mttdl_hours=mttdl,
+        mttdl_source=mttdl,
     )
 
 
@@ -347,7 +362,7 @@ class Raid5Model(_BaseArrayModel):
         d, lam, mu = p.drives_per_node, p.drive_failure_rate, self.restripe_rate
         lambda_d_arr = d * (d - 1) * lam**2 / mu
         lambda_s = d * (d - 1) * lam * p.hard_error_per_drive_read
-        return ArrayRates(lambda_d_arr, lambda_s, self.mttdl_exact())
+        return ArrayRates(lambda_d_arr, lambda_s, self.mttdl_exact)
 
 
 class Raid6Model(_BaseArrayModel):
@@ -400,7 +415,7 @@ class Raid6Model(_BaseArrayModel):
         d, lam, mu = p.drives_per_node, p.drive_failure_rate, self.restripe_rate
         lambda_d_arr = d * (d - 1) * (d - 2) * lam**3 / mu**2
         lambda_s = d * (d - 1) * (d - 2) * lam**2 * p.hard_error_per_drive_read / mu
-        return ArrayRates(lambda_d_arr, lambda_s, self.mttdl_exact())
+        return ArrayRates(lambda_d_arr, lambda_s, self.mttdl_exact)
 
 
 def array_model(params: Parameters, level: InternalRaid) -> _BaseArrayModel:

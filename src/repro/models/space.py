@@ -30,7 +30,6 @@ silent-skip semantics.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -44,7 +43,7 @@ from typing import (
     Tuple,
 )
 
-from .parameters import ParameterError, Parameters
+from .parameters import ParameterError, Parameters, is_finite
 from .raid import InternalRaid
 from .scrubbing import ScrubbingModel
 
@@ -271,11 +270,7 @@ class ParamAxis:
                 raise SpaceError(
                     self.name, f"values must be numbers, got {v!r}"
                 )
-            try:
-                finite = math.isfinite(v)
-            except OverflowError:  # an int beyond float range
-                finite = False
-            if not finite:
+            if not is_finite(v):
                 raise SpaceError(
                     self.name, f"values must be finite, got {v!r}"
                 )

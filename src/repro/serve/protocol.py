@@ -96,7 +96,12 @@ def params_with_overrides(
                 isinstance(raw, (int, float)) and not isinstance(raw, bool),
                 f"parameter {field!r} must be a number, got {raw!r}",
             )
-            changes[field] = type(current)(raw)
+            try:
+                changes[field] = type(current)(raw)
+            except (OverflowError, ValueError):  # int(inf), int(nan), float(10**400)
+                raise ProtocolError(
+                    f"parameter {field!r} must be finite, got {raw!r}"
+                ) from None
         else:  # pragma: no cover - Parameters is all-numeric today
             changes[field] = raw
     try:

@@ -102,6 +102,21 @@ class TestRequest:
         with pytest.raises(AdviseError, match="seed"):
             AdviseRequest(seed="zero")
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            float("nan"),
+            float("inf"),
+            pytest.param(10 ** 400, id="int-beyond-float-range"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "name", ["target_events_per_pb_year", "max_annual_cost", "min_usable_pb"]
+    )
+    def test_non_finite_bounds_rejected(self, name, bad):
+        with pytest.raises(AdviseError, match=f"{name} must be finite"):
+            AdviseRequest.from_dict({name: bad})
+
     def test_candidate_cap(self):
         big = SearchSpace(
             axes=(

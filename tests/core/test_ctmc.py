@@ -21,6 +21,23 @@ def two_state_chain(lam=2.0, mu=50.0, kill=1.0) -> CTMC:
     )
 
 
+def _assert_batched_query_raises(chain: CTMC) -> None:
+    """The dense backend's batched ``"mttdl"`` query raises the same
+    :class:`NotAbsorbingError` as the scalar call — for a group of one
+    (scalar kernel) and a stacked group of two (batched kernel)."""
+    from repro.core.solvers import SolveOptions, SolveRequest, solve
+
+    for batch in ((chain,), (chain, chain)):
+        with pytest.raises(NotAbsorbingError):
+            solve(
+                SolveRequest(
+                    chains=batch,
+                    query="mttdl",
+                    options=SolveOptions(backend="dense_gth"),
+                )
+            )
+
+
 def two_state_mttdl(lam, mu, kill) -> float:
     # tau_up * lam = tau_deg * (mu + kill) balance; absorbing flow = 1.
     # Solve R^T tau = e0 by hand:
@@ -188,6 +205,7 @@ class TestAbsorption:
         )
         with pytest.raises(NotAbsorbingError):
             chain.mean_time_to_absorption()
+        _assert_batched_query_raises(chain)
 
     def test_unreachable_absorption_raises(self):
         # 'a' and 'b' cycle forever; 'c' -> loss exists but is unreachable
@@ -203,6 +221,7 @@ class TestAbsorption:
         )
         with pytest.raises(NotAbsorbingError):
             chain.mean_time_to_absorption()
+        _assert_batched_query_raises(chain)
 
     def test_expected_visits(self):
         lam, mu, kill = 2.0, 50.0, 1.0

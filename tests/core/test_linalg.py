@@ -226,3 +226,54 @@ class TestBatchedSolver:
             gth_solve_batched(
                 np.zeros((2, 3, 2)), np.ones((2, 3)), np.ones((2, 3))
             )
+
+
+class TestRowLimitedSolve:
+    """``rows=k`` stops back-substitution after row k-1; the rows it
+    returns are bitwise the full solve's (row k reads only rows < k)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 7])
+    def test_scalar_leading_rows_bitwise(self, n):
+        rng = np.random.default_rng(100 + n)
+        rates, absorb = random_absorbing_system(rng, n)
+        for rhs in (rng.uniform(0.0, 1.0, size=n), np.eye(n)):
+            full = gth_solve(rates, absorb, rhs)
+            for k in range(1, n + 1):
+                limited = gth_solve(rates, absorb, rhs, rows=k)
+                assert limited.shape == (k,) + rhs.shape[1:]
+                assert np.array_equal(limited, full[:k])
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_batched_leading_rows_bitwise(self, n):
+        rng = np.random.default_rng(200 + n)
+        batch = 5
+        rates = np.stack(
+            [random_absorbing_system(rng, n)[0] for _ in range(batch)]
+        )
+        absorb = rng.uniform(0.1, 2.0, size=(batch, n))
+        for rhs in (
+            rng.uniform(0.0, 1.0, size=(batch, n)),
+            np.broadcast_to(np.eye(n), (batch, n, n)).copy(),
+        ):
+            full = gth_solve_batched(rates, absorb, rhs)
+            for k in range(1, n + 1):
+                limited = gth_solve_batched(rates, absorb, rhs, rows=k)
+                assert np.array_equal(limited, full[:, :k])
+
+    def test_singular_state_beyond_rows_still_detected(self):
+        # State 1 cannot reach absorption; forward elimination still
+        # visits it even though back-substitution stops at row 0.
+        rates = np.array([[0.0, 1.0], [0.0, 0.0]])
+        absorb = np.array([1.0, 0.0])
+        with pytest.raises(ValueError, match="cannot reach absorption"):
+            gth_solve(rates, absorb, np.eye(2), rows=1)
+        with pytest.raises(ValueError, match="cannot reach absorption"):
+            gth_solve_batched(rates[None], absorb[None], np.eye(2)[None], rows=1)
+
+    @pytest.mark.parametrize("rows", [0, 3])
+    def test_rows_out_of_range_rejected(self, rows):
+        rates, absorb = random_absorbing_system(np.random.default_rng(1), 2)
+        with pytest.raises(ValueError, match="rows must be in 1..2"):
+            gth_solve(rates, absorb, np.ones(2), rows=rows)
+        with pytest.raises(ValueError, match="rows must be in 1..2"):
+            gth_solve_batched(rates[None], absorb[None], np.ones((1, 2)), rows=rows)

@@ -1,5 +1,7 @@
 """Unit tests for the declarative spec IR (compile--bind--solve front end)."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -278,3 +280,118 @@ class TestCompiledSpecCache:
         cache.clear()
         assert len(cache) == 0
         assert (cache.hits, cache.misses, cache.structure_rebuilds) == (0, 0, 0)
+
+
+def _bits(value):
+    arr = np.asarray(value)
+    return arr.dtype, arr.shape, arr.tobytes()
+
+
+def _family_env(spec, rng, points=None, integers=False):
+    """A random environment for ``spec``: ``n``/``d`` are whole numbers,
+    ``h``-style probabilities straddle the clamp at 1, everything else is
+    a positive rate.  ``points`` makes every entry a length-P array;
+    ``integers`` makes every entry integer-valued."""
+    env = {}
+    for name in spec.param_names:
+        size = points
+        if name in ("n", "d") or integers:
+            env[name] = (
+                rng.integers(4, 64, size=size)
+                if size is not None
+                else int(rng.integers(4, 64))
+            )
+            continue
+        if name.startswith("h") or name == "k_t":
+            value = rng.uniform(0.0, 1.5, size=size)
+        else:
+            value = 10.0 ** rng.uniform(-7, 1, size=size)
+        env[name] = value if size is not None else float(value)
+    return env
+
+
+_PRODUCTION_SPECS = [
+    "no_raid_ft1",
+    "no_raid_ft2",
+    "no_raid_ft3",
+    "internal_raid_t1",
+    "internal_raid_t2",
+    "internal_raid_t3",
+    "raid5",
+    "raid5_split",
+    "raid6",
+    "raid6_split",
+    "recursive_ft4",
+]
+
+
+class TestRateTape:
+    """The compiled tape reproduces :meth:`RateExpr.evaluate`, bitwise,
+    for every production spec and every kind of environment."""
+
+    @pytest.fixture(scope="class")
+    def specs(self):
+        from repro.models.specs import all_family_specs
+
+        specs = all_family_specs()
+        assert set(_PRODUCTION_SPECS) <= set(specs), sorted(specs)
+        return specs
+
+    @pytest.mark.parametrize("name", _PRODUCTION_SPECS)
+    @pytest.mark.parametrize("kind", ["scalar", "vector", "integer"])
+    def test_tape_matches_tree_evaluation(self, specs, name, kind):
+        spec = specs[name]
+        compiled = spec.compile()
+        rng = np.random.default_rng(zlib.crc32(f"{name}:{kind}".encode()))
+        for _ in range(5):
+            env = _family_env(
+                spec,
+                rng,
+                points=7 if kind == "vector" else None,
+                integers=kind == "integer",
+            )
+            got = compiled.edge_rates(env)
+            want = [expr.evaluate(env) for _, _, expr in spec.edges]
+            assert len(got) == len(want) == compiled.num_edges
+            for g, w in zip(got, want):
+                assert _bits(g) == _bits(w)
+
+    @pytest.mark.parametrize("name", _PRODUCTION_SPECS)
+    def test_bind_matches_tree_assembly(self, specs, name):
+        """bind and rate_tensor place the tape's values exactly where the
+        per-edge tree evaluation used to."""
+        spec = specs[name]
+        compiled = spec.compile()
+        env = _family_env(spec, np.random.default_rng(3))
+        index = {s: i for i, s in enumerate(spec.states)}
+        q = np.zeros((len(spec.states),) * 2)
+        for src, dst, expr in spec.edges:
+            q[index[src], index[dst]] = expr.evaluate(env)
+        np.fill_diagonal(q, -q.sum(axis=1))
+        assert np.array_equal(compiled.bind(env).generator_matrix(), q)
+        tensor = compiled.rate_tensor(env)
+        assert np.array_equal(
+            tensor[0], [expr.evaluate(env) for _, _, expr in spec.edges]
+        )
+
+    def test_common_subtrees_share_one_instruction(self):
+        shared = param("a") * param("b")
+        b = SpecBuilder()
+        b.add_rate("x", "y", shared + 1.0)
+        b.add_rate("y", "x", param("a") * param("b"))  # equal, not identical
+        b.add_rate("y", "z", shared)
+        compiled = b.build("shared").compile()
+        # a*b once, then (a*b)+1: two instructions for three edges.
+        assert len(compiled._tape) == 2
+        assert compiled.edge_rates({"a": 3.0, "b": 0.5}) == [2.5, 1.5, 1.5]
+
+    def test_signed_zero_constants_stay_distinct(self):
+        b = SpecBuilder()
+        b.add_rate("x", "y", param("a") * 0.0)
+        b.add_rate("y", "x", param("a") * -0.0)
+        rates = b.build("zeros").compile().edge_rates({"a": 1.0})
+        assert [np.copysign(1.0, r) for r in rates] == [1.0, -1.0]
+
+    def test_missing_parameters_named_in_sorted_order(self):
+        with pytest.raises(SpecError, match="missing parameters: h, mu"):
+            _toy_spec().compile().bind({"lam": 0.25})

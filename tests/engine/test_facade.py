@@ -41,6 +41,26 @@ class TestAnalyticParity:
         assert approx.mttdl_hours != exact.mttdl_hours
 
 
+class TestSinglePointWork:
+    @staticmethod
+    def _binds():
+        from repro.models.specs import all_family_specs, compiled
+
+        return sum(compiled(s).hits for s in all_family_specs().values())
+
+    @pytest.mark.parametrize(
+        "config",
+        [c for c in ALL_CONFIGURATIONS if c.internal is not InternalRaid.NONE],
+        ids=lambda c: c.key,
+    )
+    def test_internal_raid_binds_one_chain(self, config, baseline):
+        """The default path binds only the node chain; the array chain's
+        own MTTDL is never solved because nothing reads it."""
+        before = self._binds()
+        evaluate(config, baseline)
+        assert self._binds() - before == 1
+
+
 class TestClosedFormParity:
     @pytest.mark.parametrize("config", ALL_CONFIGURATIONS, ids=lambda c: c.key)
     def test_matches_pre_engine_entry_point(self, config, baseline):

@@ -74,6 +74,32 @@ class TestValidation:
             Parameters(**{field: 1.5})
         Parameters(**{field: 1.0})  # inclusive upper bound
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            float("nan"),
+            float("inf"),
+            float("-inf"),
+            pytest.param(10 ** 400, id="int-beyond-float-range"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "node_mttf_hours",
+            "drive_mttf_hours",
+            "hard_error_rate_per_bit",
+            "drive_capacity_bytes",
+            "node_set_size",
+            "drives_per_node",
+            "link_speed_bps",
+            "rebuild_bandwidth_fraction",
+        ],
+    )
+    def test_non_finite_rejected_naming_the_field(self, field, bad):
+        with pytest.raises(ParameterError, match=f"{field} must be finite"):
+            Parameters.baseline().replace(**{field: bad})
+
     def test_negative_her_rejected(self):
         with pytest.raises(ParameterError):
             Parameters(hard_error_rate_per_bit=-1e-15)

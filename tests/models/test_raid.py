@@ -3,6 +3,7 @@
 import pytest
 
 from repro.models import (
+    ArrayRates,
     InternalRaid,
     Parameters,
     Raid5Model,
@@ -148,6 +149,43 @@ class TestArrayRates:
         r5 = Raid5Model(baseline).rates()
         r6 = Raid6Model(baseline).rates()
         assert r6.array_failure_rate < r5.array_failure_rate / 100
+
+
+class TestLazyArrayMttdl:
+    @pytest.mark.parametrize("model_cls", [Raid5Model, Raid6Model])
+    def test_mttdl_hours_bitwise_equals_exact_solve(self, baseline, model_cls):
+        model = model_cls(baseline)
+        rates = model.rates("approx")
+        assert callable(rates.mttdl_source)  # not solved yet
+        assert rates.mttdl_hours == model.mttdl_exact()
+        assert rates.mttdl_source == model.mttdl_exact()  # now cached
+
+    @pytest.mark.parametrize("model_cls", [Raid5Model, Raid6Model])
+    def test_exact_rates_carry_their_solved_mttdl(self, baseline, model_cls):
+        rates = model_cls(baseline).rates("exact")
+        assert isinstance(rates.mttdl_source, float)
+        assert rates.mttdl_hours == rates.mttdl_source
+
+    def test_solved_once_on_first_read(self, baseline):
+        calls = []
+        model = Raid5Model(baseline)
+
+        def counted():
+            calls.append(1)
+            return model.mttdl_exact()
+
+        rates = ArrayRates(1.0, 2.0, counted)
+        assert calls == []
+        first = rates.mttdl_hours
+        assert rates.mttdl_hours == first
+        assert calls == [1]
+
+    def test_excluded_from_equality_and_hash(self):
+        solved = ArrayRates(1.0, 2.0, 5.0)
+        lazy = ArrayRates(1.0, 2.0, lambda: 7.0)
+        assert solved == lazy
+        assert hash(solved) == hash(lazy)
+        assert solved != ArrayRates(1.0, 3.0, 5.0)
 
 
 class TestFactory:

@@ -121,6 +121,8 @@ def test_bad_axis_answers_400_naming_the_axis():
          "drive_cost_per_year"),
         ({"cost_model": {"node_cost_per_year": float("-inf")}},
          "node_cost_per_year"),
+        ({"target_events_per_pb_year": 10 ** 400},
+         "target_events_per_pb_year"),
     ],
 )
 def test_non_finite_input_answers_400_naming_the_field(body, field):

@@ -277,6 +277,20 @@ def test_error_statuses():
             results["bad_body"] = await _request(
                 host, port, "POST", "/v1/evaluate", {"config": "ft9_warp"}
             )
+            results["nan_param"] = await _request(
+                host,
+                port,
+                "POST",
+                "/v1/evaluate",
+                {"config": "ft2_raid5", "params": {"node_mttf_hours": float("nan")}},
+            )
+            results["inf_int_param"] = await _request(
+                host,
+                port,
+                "POST",
+                "/v1/evaluate",
+                {"config": "ft2_raid5", "params": {"drives_per_node": float("inf")}},
+            )
             results["not_found"] = await _request(
                 host, port, "GET", "/v2/evaluate"
             )
@@ -301,6 +315,13 @@ def test_error_statuses():
     assert results["bad_json"][0] == 400
     assert "JSON" in results["bad_json"][2]["error"]
     assert results["bad_body"][0] == 400
+    for case, field in (
+        ("nan_param", "node_mttf_hours"),
+        ("inf_int_param", "drives_per_node"),
+    ):
+        status, _, payload = results[case]
+        assert status == 400, (case, payload)
+        assert field in payload["error"] and "finite" in payload["error"]
     assert results["not_found"][0] == 404
     assert results["get_on_post"][0] == 400  # POST route, wrong verb
     assert results["post_on_get"][0] == 405

@@ -57,6 +57,22 @@ class TestParamsWithOverrides:
         with pytest.raises(ProtocolError):
             params_with_overrides(baseline, {"drive_mttf_hours": -1.0})
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("node_mttf_hours", float("nan")),
+            ("drive_mttf_hours", float("inf")),
+            ("drives_per_node", float("inf")),
+            ("node_set_size", float("nan")),
+            pytest.param(
+                "drive_mttf_hours", 10 ** 400, id="int-beyond-float-range"
+            ),
+        ],
+    )
+    def test_non_finite_rejected_naming_the_field(self, baseline, field, bad):
+        with pytest.raises(ProtocolError, match=f"{field}.* must be finite"):
+            params_with_overrides(baseline, {field: bad})
+
 
 # --------------------------------------------------------------------- #
 # /v1/evaluate parsing
