@@ -52,7 +52,6 @@ from .spec import (
     param,
     rate_min,
 )
-from .template import ChainStructureMemo, ChainTemplate
 from .gillespie import (
     SampleSummary,
     Trajectory,
@@ -66,8 +65,6 @@ __all__ = [
     "CTMC",
     "CTMCError",
     "ChainBuilder",
-    "ChainStructureMemo",
-    "ChainTemplate",
     "CompiledChain",
     "CompiledSpecCache",
     "CsrMatrix",

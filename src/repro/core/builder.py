@@ -2,14 +2,14 @@
 
 The Markov chains in the paper are described state-by-state (Figures 1
 through 10); :class:`ChainBuilder` mirrors that style: add states, add
-rates, build.  It also provides the merge/relabel operations the paper's
-appendix uses to construct the no-internal-RAID chain for fault tolerance
-``k`` from two copies of the chain for ``k - 1``.
+rates, build.  Production chains are bound from declarative specs
+(:mod:`repro.core.spec`); the builder backs the ``legacy_build_*``
+equivalence oracles and ad-hoc chains.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from .ctmc import CTMC, CTMCError, Transition
 
@@ -57,10 +57,6 @@ class ChainBuilder:
             self.add_state(s)
         return self
 
-    def has_state(self, state: State) -> bool:
-        """Whether ``state`` has been registered."""
-        return state in self._seen
-
     def add_rate(self, source: State, target: State, rate: float) -> "ChainBuilder":
         """Add ``rate`` from ``source`` to ``target``, registering both states.
 
@@ -78,81 +74,19 @@ class ChainBuilder:
             self._rates[key] = self._rates.get(key, 0.0) + rate
         return self
 
-    def rate(self, source: State, target: State) -> float:
-        """Currently-accumulated rate between two states (0 if absent)."""
-        return self._rates.get((source, target), 0.0)
-
     @property
     def states(self) -> Tuple[State, ...]:
         """States registered so far, in insertion order."""
         return tuple(self._states)
 
-    @property
-    def num_transitions(self) -> int:
-        """Number of distinct directed edges with positive rate."""
-        return len(self._rates)
-
-    def edge_keys(self) -> Tuple[Tuple[State, State], ...]:
-        """The distinct directed edges, in insertion order."""
-        return tuple(self._rates.keys())
-
-    def edge_rates(self) -> Tuple[float, ...]:
-        """Accumulated rates in :meth:`edge_keys` order."""
-        return tuple(self._rates.values())
-
-    # ------------------------------------------------------------------ #
-    # structural operations used by the recursive appendix construction
     # ------------------------------------------------------------------ #
 
-    def relabel(self, mapping: Callable[[State], State]) -> "ChainBuilder":
-        """Return a new builder with every state passed through ``mapping``.
-
-        Distinct states may map to the same label, in which case they merge
-        (their in/out rates accumulate) — this implements the appendix's
-        "merge the two absorbing states into one" step.
-        """
-        out = ChainBuilder()
-        for s in self._states:
-            out.add_state(mapping(s))
-        for (src, dst), r in self._rates.items():
-            new_src, new_dst = mapping(src), mapping(dst)
-            if new_src == new_dst:
-                raise CTMCError(
-                    f"relabel merges endpoints of edge {src!r}->{dst!r} "
-                    "into a self-loop"
-                )
-            out.add_rate(new_src, new_dst, r)
-        return out
-
-    def merge_from(self, other: "ChainBuilder") -> "ChainBuilder":
-        """Copy all states and rates of ``other`` into this builder."""
-        for s in other._states:
-            self.add_state(s)
-        for (src, dst), r in other._rates.items():
-            self.add_rate(src, dst, r)
-        return self
-
-    # ------------------------------------------------------------------ #
-
-    def build(
-        self,
-        initial_state: Optional[State] = None,
-        memo: Optional["ChainStructureMemo"] = None,
-        memo_key: Optional[Hashable] = None,
-    ) -> CTMC:
+    def build(self, initial_state: Optional[State] = None) -> CTMC:
         """Construct the immutable :class:`CTMC`.
 
         Args:
             initial_state: start state (defaults to the first registered).
-            memo: optional :class:`~repro.core.template.ChainStructureMemo`;
-                when given, the chain topology is cached under ``memo_key``
-                and only the rates are re-bound on a structural match —
-                bitwise identical to the direct construction.
-            memo_key: cache key for ``memo`` (e.g. the configuration key
-                plus the structural parameters).
         """
-        if memo is not None:
-            return memo.build(memo_key, self, initial_state)
         transitions = [
             Transition(src, dst, r) for (src, dst), r in self._rates.items()
         ]

@@ -111,7 +111,7 @@ class GeneratorDiagnostics:
     Every mathematically valid generator satisfies three structural laws:
     rows sum to zero (probability conservation), off-diagonal rates are
     non-negative, and absorbing rows are entirely null.  The chain
-    constructors enforce these by build order, but memo re-binding, batch
+    constructors enforce these by build order, but spec binding, batch
     stacking and cache round-trips all re-assemble matrices — this report
     is the introspection hook the verification subsystem audits them
     through.
@@ -205,9 +205,9 @@ class CTMC:
     ) -> "CTMC":
         """Fast construction from a pre-assembled generator matrix.
 
-        Used by :class:`repro.core.template.ChainTemplate` to re-bind rates
-        onto a cached topology without re-running the per-transition checks
-        (the template validated the structure when it was first built).
+        Used by :class:`repro.core.spec.CompiledChain` to bind rates onto
+        its compiled topology without re-running the per-transition checks
+        (the spec validated the structure when it was compiled).
         ``q`` must already have its diagonal set to the negated row sums;
         ownership of ``q`` transfers to the chain.
         """
@@ -376,7 +376,7 @@ class CTMC:
 
         All chains must share state order and transient/absorbing
         partition (e.g. siblings bound from one
-        :class:`~repro.core.template.ChainTemplate`); the caller is
+        :class:`~repro.core.spec.CompiledChain`); the caller is
         responsible for grouping.  Each returned slice ``[i]`` holds
         exactly the arrays ``chains[i].absorption_system()`` would — the
         assembly only gathers and sums the same matrix elements, so the
@@ -640,7 +640,7 @@ class CTMC:
         residuals so callers — notably the :mod:`repro.verify` invariant
         registry — can record *how close* the assembled matrix is to a
         mathematically exact generator, whichever construction path
-        (builder, template re-bind, batch stacking) produced it.
+        (builder, spec bind, batch stacking) produced it.
         """
         diag = self._q.diagonal()
         absorbing_rows = self._q[diag == 0.0]

@@ -697,11 +697,15 @@ def select_backend(request: SolveRequest) -> SolverBackend:
 def solve(request: SolveRequest) -> SolveResult:
     """Execute ``request`` on its (auto-)selected backend.
 
-    The single entry point every solve in the repo goes through; emits
-    one ``solve.backend`` span carrying the resolved backend, the query
-    and the batch size, so traces show which strategy answered what.
+    The single entry point every solve in the repo goes through; while
+    tracing is on it emits one ``solve.backend`` span carrying the
+    resolved backend, the query and the batch size, so traces show which
+    strategy answered what.
     """
     backend = select_backend(request)
+    # Guarded so the hot path pays one bool check when tracing is off.
+    if not obs.tracing_active():
+        return backend.solve(request)
     with obs.span(
         "solve.backend",
         backend=backend.name,

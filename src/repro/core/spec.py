@@ -23,9 +23,7 @@ matrix before deriving the diagonal as ``-row_sum`` — float for float
 what :class:`~repro.core.builder.ChainBuilder` + :class:`CTMC` produce.
 Because the edge set is fixed at compile time, a rate that evaluates to
 zero simply writes an explicit ``0.0`` (the matrix is unchanged); the
-topology can never silently drift with the operating point, which is the
-footgun :class:`~repro.core.template.ChainStructureMemo` had to guard
-against with per-hit structure checks.
+topology can never silently drift with the operating point.
 
 Unlike the builder, a spec is also *hashable*: :attr:`ModelSpec.spec_hash`
 digests the canonical structure (states, edges, expression trees), so
@@ -482,11 +480,10 @@ class CompiledChain:
     """A spec lowered once: fixed topology + straight-line rate tape.
 
     The structure (state order, edge index arrays, initial state) is
-    frozen at compile time, so — unlike a
-    :class:`~repro.core.template.ChainTemplate` under a coarse memo key —
-    there is nothing to re-verify per bind and nothing a vanishing rate
-    can silently change: :attr:`structure_rebuilds` is 0 by construction
-    and :attr:`hits` counts every rate-only re-bind the compile paid for.
+    frozen at compile time, so there is nothing to re-verify per bind and
+    nothing a vanishing rate can silently change:
+    :attr:`structure_rebuilds` is 0 by construction and :attr:`hits`
+    counts every rate-only re-bind the compile paid for.
 
     The edge rate trees are lowered once into a flat instruction tape
     (see :func:`_lower`); :meth:`bind`, :meth:`rate_tensor` and
@@ -499,8 +496,8 @@ class CompiledChain:
         param_names: the spec's sorted parameter names.
         hits: number of ``bind``/``bind_batch`` point-bindings served by
             this compiled structure.
-        structure_rebuilds: always 0 — kept as the explicit counterpart
-            of :attr:`ChainStructureMemo.structure_rebuilds`.
+        structure_rebuilds: always 0 — the per-chain counterpart of
+            :attr:`CompiledSpecCache.structure_rebuilds`.
     """
 
     __slots__ = (

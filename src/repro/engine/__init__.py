@@ -7,7 +7,6 @@ identical to the plain point-by-point evaluation.  It also hosts the
 unified :func:`repro.evaluate` facade.
 """
 
-from . import faultpoints
 from .cache import DEFAULT_CACHE_DIR, DiskCache
 from .facade import evaluate
 from .keys import CACHE_SCHEMA_VERSION, point_key, stable_digest
@@ -38,7 +37,6 @@ __all__ = [
     "default_jobs",
     "evaluate",
     "evaluate_chunk",
-    "faultpoints",
     "mttdl_batched",
     "normalize_method",
     "point_key",

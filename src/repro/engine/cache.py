@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Union
 
 from ..obs import Metrics
-from . import faultpoints
+from ..runtime import faultpoints
 
 __all__ = ["DiskCache", "DEFAULT_CACHE_DIR"]
 

@@ -243,7 +243,8 @@ class SweepEngine:
         if method == "monte_carlo":
             raise ValueError(
                 "SweepEngine evaluates analytic/closed-form points; use "
-                "repro.evaluate(..., method='monte_carlo') or "
+                "repro.evaluate(..., options=SolveOptions("
+                "backend='monte_carlo')) or "
                 "repro.sim.estimate_mttdl for simulation"
             )
         pairs = list(pairs)

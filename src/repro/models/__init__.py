@@ -6,11 +6,11 @@ rebuild-time model, the critical-redundancy-set combinatorics and the
 closed-form MTTDL approximations.
 
 The supported public surface is exactly ``__all__`` below.  The
-pre-spec imperative chain builders live in :mod:`repro.models.legacy`
-as equivalence oracles and are deliberately not re-exported here.
+pre-spec imperative chain builders (``legacy_build_*`` in their family
+modules) are equivalence oracles and are deliberately not re-exported
+here.
 """
 
-from . import legacy
 from .availability import (
     AvailabilityModel,
     AvailabilityResult,
@@ -153,7 +153,6 @@ __all__ = [
     "k3_factor",
     "l_k",
     "l_value",
-    "legacy",
     "mttdl_general_approx",
     "mttdl_hours_for_target",
     "mttdl_hours_to_events_per_year",

@@ -12,21 +12,20 @@ States: ``(j, "u")`` — j nodes down, latest failure not yet detected;
 ``(j, "r")`` — j nodes down, rebuild running.  Failures keep arriving in
 both; loss still requires ``t + 1`` concurrent failures (or the critical
 sector-error term, active in either critical sub-state).
+
+The chain shape is declared in :func:`repro.models.specs.detection_spec`
+and bound per operating point, like every other production chain.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..core import CTMC, ChainBuilder
-from .critical_sets import critical_fraction
+from ..core import CTMC
 from .internal_raid import InternalRaidNodeModel
-from .parameters import Parameters
+from .parameters import Parameters, is_finite
 from .raid import InternalRaid
+from .specs import compiled, detection_env, detection_spec
 
 __all__ = ["build_detection_chain", "DetectionLatencyModel"]
-
-LOSS = "loss"
 
 
 def build_detection_chain(
@@ -39,7 +38,8 @@ def build_detection_chain(
     critical_sector_fraction: float,
     detection_rate: float,
 ) -> CTMC:
-    """The Figure 5/6/7 chain with an explicit detection stage.
+    """The Figure 5/6/7 chain with an explicit detection stage, bound
+    through :func:`repro.models.specs.detection_spec`.
 
     Args:
         detection_rate: ``delta`` = 1 / mean detection latency (per hour).
@@ -48,35 +48,17 @@ def build_detection_chain(
     Other arguments as in
     :func:`repro.models.internal_raid.build_internal_raid_chain`.
     """
-    if fault_tolerance < 1:
-        raise ValueError("fault_tolerance must be >= 1")
-    if n <= fault_tolerance:
-        raise ValueError("node set must be larger than the fault tolerance")
-    if detection_rate <= 0:
-        raise ValueError("detection rate must be positive")
-    lam = node_failure_rate + array_failure_rate
-    t = fault_tolerance
-    builder = ChainBuilder().add_state((0, "r"))  # zero-down; tag irrelevant
-
-    # Failure arrivals from every state; detection converts u -> r; repair
-    # only from r states.
-    for j in range(t + 1):
-        arrivals = (n - j) * lam
-        if j < t:
-            sources = [(j, "r")] if j == 0 else [(j, "u"), (j, "r")]
-            for source in sources:
-                builder.add_rate(source, (j + 1, "u"), arrivals)
-        else:
-            # Critical level: one more failure (or critical sector error)
-            # loses data, from either sub-state.
-            final = lam + critical_sector_fraction * restripe_sector_loss_rate
-            for tag in ("u", "r"):
-                builder.add_rate((j, tag), LOSS, (n - j) * final)
-        if j >= 1:
-            builder.add_rate((j, "u"), (j, "r"), detection_rate)
-            target = (0, "r") if j == 1 else (j - 1, "r")
-            builder.add_rate((j, "r"), target, node_rebuild_rate)
-    return builder.build(initial_state=(0, "r"))
+    env = detection_env(
+        fault_tolerance,
+        n,
+        node_failure_rate,
+        array_failure_rate,
+        restripe_sector_loss_rate,
+        node_rebuild_rate,
+        critical_sector_fraction,
+        detection_rate,
+    )
+    return compiled(detection_spec(fault_tolerance)).bind(env)
 
 
 class DetectionLatencyModel:
@@ -96,6 +78,10 @@ class DetectionLatencyModel:
         fault_tolerance: int,
         detection_hours: float,
     ) -> None:
+        if not is_finite(detection_hours):
+            raise ValueError(
+                f"detection_hours must be finite, got {detection_hours!r}"
+            )
         if detection_hours <= 0:
             raise ValueError("detection_hours must be positive")
         self._inner = InternalRaidNodeModel(params, raid_level, fault_tolerance)

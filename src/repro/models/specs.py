@@ -17,6 +17,8 @@ fixes the generator layout and the GTH elimination order), same rate
 formulas in the same operation order, same clamping.  The legacy
 builders are kept as ``legacy_build_*`` oracles and the test suite
 asserts bitwise generator equality between both paths for every family.
+The detection-latency spec has no legacy builder left; its generators
+are pinned bitwise by frozen fixtures instead.
 
 Specs are memoized per structural signature (family + fault tolerance +
 flags) and their compiled forms live in a module-level
@@ -49,6 +51,8 @@ __all__ = [
     "recursive_env",
     "internal_raid_spec",
     "internal_raid_env",
+    "detection_spec",
+    "detection_env",
     "raid5_spec",
     "raid6_spec",
     "raid_env",
@@ -346,6 +350,69 @@ def internal_raid_env(
         "mu_N": node_rebuild_rate,
         "k_t": critical_sector_fraction,
     }
+
+
+# --------------------------------------------------------------------- #
+# internal RAID with a failure-detection stage (beyond the paper)
+# --------------------------------------------------------------------- #
+
+
+@lru_cache(maxsize=None)
+def detection_spec(fault_tolerance: int) -> ModelSpec:
+    """The Figure 5/6/7 chain with an explicit detection stage; parameters
+    as :func:`internal_raid_spec` plus ``delta`` (1 / detection latency).
+
+    Degraded level ``j`` splits into ``(j, "u")`` (failure not yet
+    detected, no repair) and ``(j, "r")`` (rebuild running); ``(0, "r")``
+    is the all-up state.
+    """
+    if fault_tolerance < 1:
+        raise ValueError("fault_tolerance must be >= 1")
+    t = fault_tolerance
+    n, mu_n, delta = param("n"), param("mu_N"), param("delta")
+    lam = param("lambda_N") + param("lambda_D")
+    b = SpecBuilder().add_state((0, "r"))
+    for j in range(t + 1):
+        if j < t:
+            arrivals = (n - j) * lam if j else n * lam
+            sources = [(j, "r")] if j == 0 else [(j, "u"), (j, "r")]
+            for source in sources:
+                b.add_rate(source, (j + 1, "u"), arrivals)
+        else:
+            final = lam + param("k_t") * param("lambda_S")
+            for tag in ("u", "r"):
+                b.add_rate((j, tag), LOSS, (n - j) * final)
+        if j >= 1:
+            b.add_rate((j, "u"), (j, "r"), delta)
+            b.add_rate((j, "r"), (j - 1, "r"), mu_n)
+    return b.build(f"detection_t{t}", initial_state=(0, "r"))
+
+
+def detection_env(
+    fault_tolerance: int,
+    n: Value,
+    node_failure_rate: Value,
+    array_failure_rate: Value,
+    restripe_sector_loss_rate: Value,
+    node_rebuild_rate: Value,
+    critical_sector_fraction: Value,
+    detection_rate: Value,
+) -> Dict[str, Value]:
+    """Binding environment for :func:`detection_spec`."""
+    env = internal_raid_env(
+        fault_tolerance,
+        n,
+        node_failure_rate,
+        array_failure_rate,
+        restripe_sector_loss_rate,
+        node_rebuild_rate,
+        critical_sector_fraction,
+    )
+    rate = np.asarray(detection_rate)
+    if not np.all((rate > 0) & np.isfinite(rate)):
+        raise ValueError("detection rate must be finite and positive")
+    env["delta"] = detection_rate
+    return env
 
 
 # --------------------------------------------------------------------- #

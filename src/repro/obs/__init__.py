@@ -7,9 +7,8 @@ The one front door for "what did this run actually spend its time on?":
   :func:`capture_spans` / :func:`adopt_spans` ship spans out of pool
   workers and re-parent them under the caller's tree.
 * :class:`Metrics` registries absorb the counters that used to live as
-  ad-hoc attributes on ``DiskCache``, ``ChainStructureMemo`` and
-  ``CompiledSpecCache``; registries merge associatively into one flat
-  ``metrics.json``.
+  ad-hoc attributes on ``DiskCache`` and ``CompiledSpecCache``;
+  registries merge associatively into one flat ``metrics.json``.
 * :func:`trace` is the run-level hook: install a tracer, do the work,
   and get a JSONL trace, a metrics snapshot and/or a human run report::
 

@@ -17,8 +17,7 @@ Layers:
   chunks, one per worker" fan-out (:func:`run_chunks`) with in-process
   fallback and crash recovery, built on :class:`ProcessTopology`.
 * :mod:`~repro.runtime.faultpoints` — named fault-injection points
-  shared by every layer (the registry engine code historically imported
-  from ``repro.engine.faultpoints``, which is now a shim onto this one).
+  shared by every layer.
 """
 
 from __future__ import annotations

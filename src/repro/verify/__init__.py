@@ -62,7 +62,6 @@ from .faults import (
     corrupt_cache_dir,
     fault_drill,
     kill_worker_action,
-    poison_chain_memo,
     poison_spec_cache,
 )
 
@@ -87,7 +86,6 @@ __all__ = [
     "kill_worker_action",
     "make_context",
     "mc_reference_mttdl",
-    "poison_chain_memo",
     "poison_spec_cache",
     "rescaled_parameters",
 ]

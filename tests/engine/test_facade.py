@@ -5,7 +5,14 @@ import math
 import pytest
 
 import repro
-from repro import ALL_CONFIGURATIONS, Configuration, InternalRaid, Parameters
+from repro import (
+    ALL_CONFIGURATIONS,
+    Configuration,
+    InternalRaid,
+    Parameters,
+    SweepEngine,
+    obs,
+)
 from repro.core.solvers import SolveOptions
 from repro.engine.facade import evaluate
 from repro.sim import accelerated_parameters, estimate_mttdl
@@ -96,57 +103,42 @@ class TestMonteCarlo:
             )
 
 
-class TestMethodShim:
-    """The deprecated method= keyword still works, with a warning."""
+class TestDispatcherRoute:
+    """Every analytic evaluate, default options included, goes through
+    repro.core.solvers.solve and its backend policy."""
 
-    def test_analytic_method_warns_and_matches(self, baseline):
-        config = ALL_CONFIGURATIONS[0]
-        with pytest.warns(DeprecationWarning, match="options"):
-            old_style = evaluate(config, baseline, method="analytic")
-        assert old_style.mttdl_hours == evaluate(config, baseline).mttdl_hours
+    @staticmethod
+    def _backends(call):
+        with obs.trace() as session:
+            call()
+        return [
+            span["attrs"]["backend"]
+            for span in session.spans
+            if span["name"] == "solve.backend"
+        ]
 
-    def test_exact_alias(self, baseline):
-        config = ALL_CONFIGURATIONS[4]
-        with pytest.warns(DeprecationWarning):
-            shimmed = evaluate(config, baseline, method="exact")
-        assert shimmed.mttdl_hours == evaluate(config, baseline).mttdl_hours
+    def test_default_emits_one_dense_backend_span(self, baseline):
+        config = Configuration.from_key("ft2_raid5")
+        assert self._backends(lambda: evaluate(config, baseline)) == [
+            "dense_gth"
+        ]
 
-    def test_approx_alias_maps_to_closed_form(self, baseline):
-        config = ALL_CONFIGURATIONS[1]
-        with pytest.warns(DeprecationWarning):
-            shimmed = evaluate(config, baseline, method="approx")
-        assert (
-            shimmed.mttdl_hours
-            == evaluate(
-                config, baseline, options=SolveOptions(backend="closed_form")
-            ).mttdl_hours
+    def test_auto_policy_applies_to_default_route(self, baseline):
+        config = Configuration.from_key("ft3_noraid")
+        options = SolveOptions(dense_state_limit=8)
+        direct = self._backends(
+            lambda: evaluate(config, baseline, options=options)
         )
+        engine = SweepEngine(baseline, jobs=1, options=options)
+        swept = self._backends(
+            lambda: engine.evaluate_many([(config, baseline)])
+        )
+        assert direct == ["sparse_iterative"]
+        assert swept == direct
 
-    def test_method_with_compatible_options(self, baseline):
-        config = ALL_CONFIGURATIONS[0]
-        with pytest.warns(DeprecationWarning):
-            result = evaluate(
-                config,
-                baseline,
-                method="analytic",
-                options=SolveOptions(backend="sparse_iterative"),
-            )
-        assert result.mttdl_hours > 0
-
-    def test_method_conflicting_with_options_rejected(self, baseline):
-        config = ALL_CONFIGURATIONS[0]
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="conflicts"):
-                evaluate(
-                    config,
-                    baseline,
-                    method="closed_form",
-                    options=SolveOptions(backend="sparse_iterative"),
-                )
-
-    def test_unknown_method_rejected(self, baseline):
-        with pytest.raises(ValueError, match="unknown method"):
-            evaluate(ALL_CONFIGURATIONS[0], baseline, method="magic")
+    def test_method_kwarg_rejected(self, baseline):
+        with pytest.raises(TypeError):
+            evaluate(ALL_CONFIGURATIONS[0], baseline, method="analytic")
 
 
 class TestApiSurface:

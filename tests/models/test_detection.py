@@ -1,5 +1,9 @@
 """Tests for the failure-detection-latency extension."""
 
+import json
+import math
+from pathlib import Path
+
 import pytest
 
 from repro.models import (
@@ -36,6 +40,9 @@ class TestChain:
             build_detection_chain(2, 2, 1e-6, 0.0, 0.0, 0.3, 1.0, 10.0)
         with pytest.raises(ValueError):
             build_detection_chain(2, 64, 1e-6, 0.0, 0.0, 0.3, 1.0, 0.0)
+        for rate in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="detection rate"):
+                build_detection_chain(2, 64, 1e-6, 0.0, 0.0, 0.3, 1.0, rate)
 
 
 class TestModel:
@@ -77,3 +84,48 @@ class TestModel:
     def test_validation(self, baseline):
         with pytest.raises(ValueError):
             DetectionLatencyModel(baseline, InternalRaid.RAID5, 2, 0.0)
+        for hours in (math.nan, math.inf, -math.inf, 10**400):
+            with pytest.raises(ValueError, match="detection_hours"):
+                DetectionLatencyModel(baseline, InternalRaid.RAID5, 2, hours)
+
+
+FIXTURE = Path(__file__).resolve().parents[1] / "data" / "detection_chains.json"
+
+
+def _label(state):
+    return tuple(state) if isinstance(state, list) else state
+
+
+def _fixture_cases():
+    return json.loads(FIXTURE.read_text())["cases"]
+
+
+class TestFrozenChains:
+    """The spec-bound chains reproduce, bit for bit, the generators the
+    pre-spec ChainBuilder construction produced (frozen in tests/data)."""
+
+    @pytest.mark.parametrize(
+        "case", _fixture_cases(), ids=lambda case: case["name"]
+    )
+    def test_matches_fixture(self, case):
+        if "model" in case:
+            spec = case["model"]
+            params = Parameters.baseline().replace(**spec["overrides"])
+            chain = DetectionLatencyModel(
+                params,
+                InternalRaid[spec["raid_level"]],
+                spec["fault_tolerance"],
+                spec["detection_hours"],
+            ).chain()
+        else:
+            args = [
+                a if isinstance(a, int) else float.fromhex(a)
+                for a in case["args"]
+            ]
+            chain = build_detection_chain(*args)
+        assert chain.states == tuple(_label(s) for s in case["states"])
+        assert chain.initial_state == _label(case["initial_state"])
+        generator = [
+            [float(x).hex() for x in row] for row in chain.generator_matrix()
+        ]
+        assert generator == case["generator"]
