@@ -42,6 +42,7 @@ from ..obs.tracer import span as _obs_span, tracing_active as _tracing_active
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .solvers import SolveOptions, SolveResult
+    from .spec import CompiledChain
 
 __all__ = [
     "Transition",
@@ -150,7 +151,8 @@ class CTMC:
 
     States may be arbitrary hashable labels.  The chain is immutable once
     constructed; use :class:`repro.core.builder.ChainBuilder` for incremental
-    construction.
+    construction.  A chain bound from a compiled spec carries its rate
+    vector instead and assembles the generator on first use.
 
     Args:
         states: ordering of all states.  The order fixes row/column indices
@@ -192,32 +194,36 @@ class CTMC:
             q[self._index[t.source], self._index[t.target]] += t.rate
         np.fill_diagonal(q, 0.0)
         np.fill_diagonal(q, -q.sum(axis=1))
-        self._q = q
-        self._q.setflags(write=False)
+        q.setflags(write=False)
+        self._dense: Optional[np.ndarray] = q
+        self._compiled: Optional["CompiledChain"] = None
 
     @classmethod
-    def _from_assembled(
-        cls,
-        states: List[State],
-        index: Dict[State, int],
-        q: np.ndarray,
-        initial_state: State,
+    def _from_rates(
+        cls, compiled: "CompiledChain", rates: np.ndarray, structured: bool
     ) -> "CTMC":
-        """Fast construction from a pre-assembled generator matrix.
+        """A chain bound from ``compiled`` at ``rates`` (checked at bind).
 
-        Used by :class:`repro.core.spec.CompiledChain` to bind rates onto
-        its compiled topology without re-running the per-transition checks
-        (the spec validated the structure when it was compiled).
-        ``q`` must already have its diagonal set to the negated row sums;
-        ownership of ``q`` transfers to the chain.
+        ``structured``: every transient state has a positive exit, so the
+        stored partition holds; the chain keeps ``compiled`` (the dense
+        backend reads its system from the rates) and assembles ``Q`` on
+        first read.  Otherwise ``Q`` is assembled now, as for any chain.
         """
         self = cls.__new__(cls)
-        self._states = states
-        self._index = index
-        self._initial = initial_state
-        q.setflags(write=False)
-        self._q = q
+        self._states = compiled._states_list
+        self._index = compiled._index
+        self._initial = compiled.initial_state
+        self._rates = rates
+        self._compiled = compiled if structured else None
+        self._dense = None if structured else compiled.generator(rates)
         return self
+
+    @property
+    def _q(self) -> np.ndarray:
+        """The generator matrix, assembled on first use for a bound chain."""
+        if self._dense is None:
+            self._dense = self._compiled.generator(self._rates)
+        return self._dense
 
     # ------------------------------------------------------------------ #
     # basic structure
@@ -285,14 +291,6 @@ class CTMC:
     # absorption analysis (the paper's core computation)
     # ------------------------------------------------------------------ #
 
-    def absorption_matrix(self) -> np.ndarray:
-        """The paper's ``R = -Q_B``: the negated generator restricted to
-        transient states, in transient-state order."""
-        transient = [self.index_of(s) for s in self.transient_states()]
-        if not transient:
-            raise NotAbsorbingError("chain has no transient states")
-        return -self._q[np.ix_(transient, transient)]
-
     def solve(self, options: Optional["SolveOptions"] = None) -> "SolveResult":
         """Solve this chain through the strategy interface.
 
@@ -348,10 +346,10 @@ class CTMC:
         Returns ``(off_diagonal, absorb_rates, rates_to_absorbing)`` in
         transient-state order: the transient-to-transient off-diagonal rate
         matrix (zero diagonal), the total rate from each transient state to
-        the absorbing set, and the per-absorbing-state rate matrix.  This is
-        exactly what :meth:`absorb` feeds the GTH solver; the sweep engine
-        uses it to stack structurally-identical chains into one batched
-        solve with bit-identical assembly.
+        the absorbing set, and the per-absorbing-state rate matrix, all cut
+        out of the generator: what :meth:`absorb` feeds the GTH solver.
+        (The MTTDL kernel reads a spec-bound chain's first two straight
+        from its rates instead, with the same floats.)
         """
         transient = list(self.transient_states())
         absorbing = list(self.absorbing_states())

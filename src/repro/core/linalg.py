@@ -17,6 +17,8 @@ conditioning.  See Grassmann, Taksar & Heyman (1985) and O'Cinneide
 ``N = R^{-1}`` (expected time spent in each transient state per start
 state), from which MTTDL, per-state expected times and absorption
 probabilities all follow by non-negative arithmetic.
+The scalar elimination (:func:`gth_solve_unchecked`) updates one
+augmented matrix ``[X | b | A]`` per pivot.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ def _validate(rates: np.ndarray, absorb: np.ndarray) -> Tuple[np.ndarray, np.nda
         raise ValueError("rates must be non-negative")
     if np.any(np.diagonal(rates) != 0):
         raise ValueError("diagonal of rates must be zero (rates are off-diagonal)")
-    return rates.copy(), absorb.copy()
+    return rates, absorb
 
 
 def _check_rows(rows: Optional[int], n: int) -> int:
@@ -55,7 +57,6 @@ def gth_solve(
     transient_rates: np.ndarray,
     absorb_rates: np.ndarray,
     rhs: np.ndarray,
-    rows: Optional[int] = None,
 ) -> np.ndarray:
     """Solve ``(D - A) X = B`` for an absorbing-chain M-matrix, accurately.
 
@@ -66,14 +67,10 @@ def gth_solve(
             the absorbing states; the implicit diagonal is
             ``D[i, i] = sum_j A[i, j] + absorb_rates[i]``.
         rhs: non-negative right-hand side, shape (n,) or (n, m).
-        rows: back-substitute only rows ``0 .. rows-1`` and return just
-            those (default: all ``n``).  Row ``k`` depends only on rows
-            before it, so each returned row is bitwise the full solve's.
 
     Returns:
-        ``X`` with the same trailing shape as ``rhs`` (``rows`` leading
-        rows when given); all entries are non-negative and computed
-        without subtractive cancellation.
+        ``X`` with the same shape as ``rhs``; all entries are
+        non-negative and computed without subtractive cancellation.
 
     Raises:
         ValueError: on negative inputs, shape mismatch, or a state that
@@ -83,38 +80,53 @@ def gth_solve(
     rhs = np.asarray(rhs, dtype=float)
     if np.any(rhs < 0):
         raise ValueError("GTH solve requires a non-negative right-hand side")
-    squeeze = rhs.ndim == 1
-    x = rhs.reshape(rhs.shape[0], -1).astype(float).copy()
-    n = a.shape[0]
-    if x.shape[0] != n:
+    if rhs.shape[0] != a.shape[0]:
         raise ValueError("rhs length does not match the matrix")
+    x = gth_solve_unchecked(a, b, rhs.reshape(rhs.shape[0], -1), a.shape[0])
+    return x[:, 0] if rhs.ndim == 1 else x
 
+
+def gth_solve_unchecked(
+    a: np.ndarray, b: np.ndarray, rhs: np.ndarray, rows: int
+) -> np.ndarray:
+    """The GTH elimination behind :func:`gth_solve`, on inputs that
+    already meet its contract (``a`` (n, n), ``b`` (n,), ``rhs`` (n, k)).
+
+    Returns ``X[:rows]``: back-substitution stops after row
+    ``rows - 1``, and since row ``p`` reads only rows before it each
+    returned row is bitwise the full solve's.  The working matrix is
+    ``M = [X | b | A]``; at pivot ``p`` the live operands (all of ``X``,
+    ``b`` and ``A[:, :p]``) are the contiguous block ``M[:p, :k+1+p]``,
+    so each pivot is one rank-one update of it — the same elementwise
+    operations, in the same order, as updating ``A``, ``b`` and ``X``
+    separately.  Raises ``ValueError`` for a singular system.
+    """
+    n, k = rhs.shape
+    m = np.concatenate((rhs, b[:, None], a), axis=1)
     # Forward elimination, pivots n-1 .. 1.  After eliminating pivot p,
     # rows 0..p-1 no longer reference state p; the diagonal is always
     # re-derived from the current off-diagonal sums plus the absorption
     # rate, which only ever *accumulates* (the GTH trick).
     for p in range(n - 1, 0, -1):
-        d_p = a[p, :p].sum() + b[p]
+        w = k + 1 + p
+        d_p = m[p, k + 1 : w].sum() + m[p, k]
         if d_p <= 0:
             raise ValueError(
                 f"state {p} cannot reach absorption; the system is singular"
             )
-        factors = a[:p, p] / d_p
-        a[:p, :p] += np.outer(factors, a[p, :p])
-        b[:p] += factors * b[p]
-        x[:p] += np.outer(factors, x[p])
+        m[:p, :w] += (m[:p, w] / d_p)[:, None] * m[p, :w]
 
-    # Back substitution, states 0 .. n-1.
-    if b[0] <= 0:
+    # Back substitution, states 0 .. rows-1.
+    if m[0, k] <= 0:
         raise ValueError("state 0 cannot reach absorption; the system is singular")
-    rows = _check_rows(rows, n)
-    x[0] = x[0] / b[0]
+    # A contiguous copy, so each ``a_p @ x[:p]`` runs the same BLAS
+    # reduction as on a standalone ``X``.
+    x = m[:rows, :k].copy()
+    x[0] = x[0] / m[0, k]
     for p in range(1, rows):
-        d_p = a[p, :p].sum() + b[p]
-        x[p] = (x[p] + a[p, :p] @ x[:p]) / d_p
-
-    x = x[:rows]
-    return x[:, 0] if squeeze else x
+        a_p = m[p, k + 1 : k + 1 + p]
+        x[p] = (x[p] + a_p @ x[:p]) / (a_p.sum() + m[p, k])
+    return x
 
 
 def gth_solve_batched(
@@ -137,8 +149,8 @@ def gth_solve_batched(
             off-diagonal rate matrix (zero diagonals).
         absorb_rates: shape ``(batch, n)``.
         rhs: shape ``(batch, n)`` or ``(batch, n, m)``.
-        rows: as in :func:`gth_solve` — stop back-substitution after row
-            ``rows - 1`` and return only the leading ``rows`` rows.
+        rows: stop back-substitution after row ``rows - 1`` and return
+            only those rows, each bitwise the full solve's (default ``n``).
 
     Returns:
         ``X`` with the same shape as ``rhs`` (``rows`` rows when given).

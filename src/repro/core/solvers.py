@@ -44,7 +44,7 @@ import numpy as np
 
 from .. import obs
 from .ctmc import CTMC, AbsorptionResult, CTMCError, NotAbsorbingError
-from .linalg import gth_fundamental_matrix, gth_solve, gth_solve_batched
+from .linalg import gth_fundamental_matrix, gth_solve_batched, gth_solve_unchecked
 from .sparse import (
     SparseChain,
     power_stationary,
@@ -367,7 +367,8 @@ class DenseGthBackend(SolverBackend):
         """Mean time to absorption of many chains, batching by structure.
 
         Chains are grouped by (state order, transient/absorbing
-        partition, initial state); a group of one is solved by the scalar
+        partition, initial state), stored at compile time for a
+        spec-bound chain; a group of one is solved by the scalar
         GTH elimination, a larger group is stacked and solved in one
         batched elimination.  Either way back-substitution stops at the
         initial state's row, the only one the answer reads.  Every
@@ -381,33 +382,36 @@ class DenseGthBackend(SolverBackend):
         results: List[Optional[float]] = [None] * len(chains)
         groups: Dict[Tuple, List[int]] = {}
         for i, chain in enumerate(chains):
-            absorbing = chain.absorbing_states()
-            if chain.initial_state in absorbing:
-                results[i] = 0.0
-                continue
-            signature = (
-                chain.states,
-                chain.transient_states(),
-                absorbing,
-                chain.initial_state,
-            )
+            compiled = chain._compiled
+            if compiled is not None:
+                if compiled.init_pos < 0:
+                    results[i] = 0.0
+                    continue
+                signature = compiled.signature
+            else:
+                absorbing = chain.absorbing_states()
+                if chain.initial_state in absorbing:
+                    results[i] = 0.0
+                    continue
+                signature = (
+                    chain.states,
+                    chain.transient_states(),
+                    absorbing,
+                    chain.initial_state,
+                )
             groups.setdefault(signature, []).append(i)
         for signature, members in groups.items():
             with obs.span(
                 "solve.gth", states=len(signature[0]), points=len(members)
             ):
                 init_pos = signature[1].index(signature[3])
+                a, b = DenseGthBackend._group_system([chains[i] for i in members])
+                n = a.shape[-1]
                 try:
                     if len(members) == 1:
-                        a, b, _ = chains[members[0]].absorption_system()
-                        n = a.shape[0]
-                        tau = gth_solve(a, b, np.eye(n), rows=init_pos + 1)
+                        tau = gth_solve_unchecked(a, b, np.eye(n), init_pos + 1)
                         taus = tau[None, init_pos]
                     else:
-                        a, b, _ = CTMC.stacked_absorption_system(
-                            [chains[i] for i in members]
-                        )
-                        n = a.shape[1]
                         rhs = np.broadcast_to(
                             np.eye(n), (len(members), n, n)
                         ).copy()
@@ -420,6 +424,20 @@ class DenseGthBackend(SolverBackend):
                 for j, i in enumerate(members):
                     results[i] = float(taus[j].sum())
         return results  # type: ignore[return-value]
+
+    @staticmethod
+    def _group_system(group: Sequence[CTMC]) -> Tuple[np.ndarray, np.ndarray]:
+        """``(A, b)`` for one signature group (stacked unless it is one
+        chain): from the rates of chains bound from one compiled spec,
+        else cut from the generators — the same floats either way."""
+        compiled = group[0]._compiled
+        if compiled is not None and all(c._compiled is compiled for c in group):
+            if len(group) == 1:
+                return compiled.absorption_arrays(group[0]._rates)
+            return compiled.absorption_arrays(np.stack([c._rates for c in group]))
+        if len(group) == 1:
+            return group[0].absorption_system()[:2]
+        return CTMC.stacked_absorption_system(group)[:2]
 
     @staticmethod
     def _absorb(chain: CTMC) -> AbsorptionResult:

@@ -7,13 +7,15 @@ whose rates are symbolic :class:`RateExpr` trees over named parameters
 yields a :class:`CompiledChain` whose structure is fixed forever and
 whose rates are re-evaluated per operating point:
 
-* ``compiled.bind(env)`` assembles one :class:`~repro.core.ctmc.CTMC`
-  from a scalar parameter environment, and
+* ``compiled.bind(env)`` runs the rate tape on a scalar parameter
+  environment into one checked rate vector, and
 * ``compiled.bind_batch(env)`` takes *vector* environments (one array
-  entry per lattice point) and assembles the whole stacked generator
-  tensor in a single numpy pass, ready for
-  :meth:`repro.core.ctmc.CTMC.stacked_absorption_system` and the batched
-  GTH solver.
+  entry per lattice point) and evaluates the whole ``(points, edges)``
+  rate tensor in a single numpy pass.
+
+The absorption structure is fixed at compile time too, so the dense
+backend reads a bound chain's GTH system straight from its rates, and
+its generator ``Q`` is only assembled when something reads it.
 
 Bit-exactness contract: rate expressions are evaluated with exactly the
 IEEE-754 double operations (and operation *order*) their construction
@@ -476,12 +478,24 @@ def _lower(
     )
 
 
+def _scatter(rates: np.ndarray, edges: np.ndarray, flat: np.ndarray, size: int):
+    """Zeros ``rates.shape[:-1] + (size,)``, each point's ``rates[..., edges]``
+    written at positions ``flat``."""
+    out = np.zeros(rates.shape[:-1] + (size,))
+    if rates.ndim == 1:  # 1-D indexing: half the cost of [..., flat] per bind
+        out[flat] = rates[edges]
+    else:
+        out[:, flat] = rates[:, edges]
+    return out
+
+
 class CompiledChain:
     """A spec lowered once: fixed topology + straight-line rate tape.
 
-    The structure (state order, edge index arrays, initial state) is
-    frozen at compile time, so there is nothing to re-verify per bind and
-    nothing a vanishing rate can silently change:
+    The structure (state order, edge index arrays, initial state, and
+    the absorption structure the edge set implies) is frozen at compile
+    time, so a bind only evaluates and checks rates, and nothing a
+    vanishing rate can silently change:
     :attr:`structure_rebuilds` is 0 by construction and :attr:`hits`
     counts every rate-only re-bind the compile paid for.
 
@@ -498,6 +512,11 @@ class CompiledChain:
             this compiled structure.
         structure_rebuilds: always 0 — the per-chain counterpart of
             :attr:`CompiledSpecCache.structure_rebuilds`.
+        signature: ``(states, transient, absorbing, initial)``, the
+            dense backend's group key; a state is transient iff it has
+            an out-edge.
+        init_pos: the initial state's transient position (-1 if it is
+            absorbing).
     """
 
     __slots__ = (
@@ -518,6 +537,11 @@ class CompiledChain:
         "_dst_idx",
         "_n",
         "_states_list",
+        "signature",
+        "init_pos",
+        "_exits",
+        "_tt",
+        "_ta",
     )
 
     def __init__(self, spec: ModelSpec) -> None:
@@ -548,6 +572,29 @@ class CompiledChain:
         )
         self.hits = 0
         self.structure_rebuilds = 0
+        # The absorption structure: a state is transient iff it has an
+        # out-edge.  Each edge's exit incidence, and (edges, flat index)
+        # scatters into the (n_t, n_t) and (n_t, n_a) blocks.
+        src, dst = self._src_idx, self._dst_idx
+        transient = np.zeros(self._n, dtype=bool)
+        transient[src] = True
+        t_idx, a_idx = np.flatnonzero(transient), np.flatnonzero(~transient)
+        n_t, n_a = len(t_idx), len(a_idx)
+        pos = np.empty(self._n, dtype=np.intp)
+        pos[t_idx], pos[a_idx] = np.arange(n_t), np.arange(n_a)
+        initial = self._index[self.initial_state]
+        self.init_pos = int(pos[initial]) if transient[initial] else -1
+        self._exits = np.zeros((len(src), n_t))
+        self._exits[np.arange(len(src)), pos[src]] = 1.0
+        to_t = transient[dst]
+        self._tt = (np.flatnonzero(to_t), pos[src[to_t]] * n_t + pos[dst[to_t]])
+        self._ta = (np.flatnonzero(~to_t), pos[src[~to_t]] * n_a + pos[dst[~to_t]])
+        self.signature = (
+            self.states,
+            tuple(self._states_list[i] for i in t_idx),
+            tuple(self._states_list[i] for i in a_idx),
+            self.initial_state,
+        )
 
     @property
     def num_states(self) -> int:
@@ -613,27 +660,59 @@ class CompiledChain:
 
     # -- binding ------------------------------------------------------- #
 
-    def bind(self, env: Env) -> CTMC:
-        """One chain at a scalar operating point.
-
-        Bitwise identical to building the same chain through
-        :class:`~repro.core.builder.ChainBuilder`: each edge's rate is
-        assigned once into a zero matrix and the diagonal derived by the
-        same negated row sum.
-        """
-        q = np.zeros((self._n, self._n), dtype=float)
-        q[self._src_idx, self._dst_idx] = self.edge_rates(env)
-        np.fill_diagonal(q, -q.sum(axis=1))
-        self.hits += 1
-        return CTMC._from_assembled(
-            self._states_list, self._index, q, self.initial_state
+    def _checked_positive(self, rates: np.ndarray) -> bool:
+        """Whether every rate (``(edges,)`` or ``(points, edges)``) is
+        positive, after a :class:`SpecError` naming the first non-finite
+        or negative one: the only sign check a bound chain's solve uses."""
+        lo, hi = rates.min(initial=np.inf), rates.max(initial=0.0)
+        if hi < np.inf and lo >= 0.0:
+            return bool(lo > 0.0)
+        bad = np.flatnonzero(~((rates >= 0.0) & (rates < np.inf)))
+        point, edge = divmod(int(bad[0]), len(self.edge_keys))
+        src, dst = self.edge_keys[edge]
+        at = f" at point {point}" if rates.ndim == 2 else ""
+        raise SpecError(
+            f"spec {self.spec.name!r}: edge {src!r} -> {dst!r} has rate "
+            f"{float(rates.flat[bad[0]])!r}{at}; rates must be finite and >= 0"
         )
+
+    def generator(self, rates: np.ndarray) -> np.ndarray:
+        """The (read-only) generator ``Q`` for one rate vector: each rate
+        assigned once into a zero matrix, the diagonal the negated row
+        sum — float for float what ``ChainBuilder`` + ``CTMC`` build."""
+        q = np.zeros((self._n, self._n), dtype=float)
+        q[self._src_idx, self._dst_idx] = rates
+        np.fill_diagonal(q, -q.sum(axis=1))
+        q.setflags(write=False)
+        return q
+
+    def absorption_arrays(self, rates: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The GTH input for rates ``(edges,)`` or ``(points, edges)``:
+        ``A`` (transient-to-transient rates) and ``b`` (row sums of the
+        ``(n_t, n_a)`` block of rates into the absorbing states), bitwise
+        what :meth:`CTMC.absorption_system` cuts out of the generator."""
+        lead = rates.shape[:-1]
+        n_t, n_a = len(self.signature[1]), len(self.signature[2])
+        a = _scatter(rates, *self._tt, n_t * n_t).reshape(lead + (n_t, n_t))
+        b = _scatter(rates, *self._ta, n_t * n_a).reshape(lead + (n_t, n_a))
+        return a, b.sum(axis=-1)
+
+    def bind(self, env: Env) -> CTMC:
+        """One chain at a scalar operating point: the checked rate vector
+        (:class:`SpecError` on a non-finite or negative rate), bound as
+        :meth:`CTMC._from_rates` describes."""
+        rates = np.array(self.edge_rates(env), dtype=float)
+        # The compiled partition holds iff every transient state has a
+        # positive exit, which all rates being positive already gives.
+        structured = self._checked_positive(rates) or (rates @ self._exits > 0).all()
+        self.hits += 1
+        return CTMC._from_rates(self, rates, structured)
 
     def bind_sparse(self, env: Env) -> "SparseChain":
         """One chain at a scalar operating point, assembled as CSR.
 
         The sparse mirror of :meth:`bind`: the edge expressions are
-        evaluated identically, but the rates scatter into a
+        evaluated and checked identically, but the rates scatter into a
         :class:`~repro.core.sparse.CsrMatrix` built straight from the
         compiled edge index arrays — the dense ``(n, n)`` generator is
         never materialized, so specs whose state spaces exceed the dense
@@ -643,9 +722,10 @@ class CompiledChain:
         """
         from .sparse import CsrMatrix, SparseChain
 
-        rates = self.rate_tensor(env)
+        rates = self.rate_tensor(env)[0]
+        self._checked_positive(rates)
         csr = CsrMatrix.from_coo(
-            self._src_idx, self._dst_idx, rates[0], (self._n, self._n)
+            self._src_idx, self._dst_idx, rates, (self._n, self._n)
         )
         self.hits += 1
         return SparseChain(
@@ -655,32 +735,15 @@ class CompiledChain:
         )
 
     def bind_batch(self, env: Env) -> List[CTMC]:
-        """One chain per lattice point, assembled as a stacked tensor.
-
-        The whole ``(P, n, n)`` generator stack is built in one numpy
-        pass (rate tensor, scatter, diagonal) and sliced into chains
-        whose matrices are bitwise identical to ``P`` separate
-        :meth:`bind` calls — ready for
-        :meth:`~repro.core.ctmc.CTMC.stacked_absorption_system` and the
-        batched GTH solve.
+        """One chain per lattice point: the tape runs once over the
+        vector environment, the ``(points, edges)`` tensor is checked
+        once, and each point becomes the chain :meth:`bind` would make.
         """
         rates = self.rate_tensor(env)
-        points = rates.shape[0]
-        q = np.zeros((points, self._n, self._n), dtype=float)
-        q[:, self._src_idx, self._dst_idx] = rates
-        diag = np.arange(self._n)
-        q[:, diag, diag] = -q.sum(axis=2)
-        self.hits += points
-        chains = []
-        for i in range(points):
-            q_i = q[i]
-            q_i.setflags(write=False)
-            chains.append(
-                CTMC._from_assembled(
-                    self._states_list, self._index, q_i, self.initial_state
-                )
-            )
-        return chains
+        self._checked_positive(rates)
+        structured = (rates @ self._exits > 0.0).all(axis=1)
+        self.hits += rates.shape[0]
+        return [CTMC._from_rates(self, r, ok) for r, ok in zip(rates, structured)]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -11,8 +11,8 @@ loop, none of which changes a single output bit:
 * **Stacked binding** — points sharing a spec hash are bound in one
   vectorized pass: their environments stack into per-parameter arrays,
   :meth:`CompiledChain.bind_batch` evaluates every edge expression once
-  over all points and assembles the whole generator tensor feeding
-  :meth:`CTMC.stacked_absorption_system`.
+  over all points into one rate tensor, whose rows the dense backend
+  stacks straight into the batched GTH system.
 * **Array-rates memo** — the internal-RAID drive-level rates ``lambda_D``
   / ``lambda_S`` (and the embedded array MTTDL solve) depend on only a
   handful of scalars, which whole sweeps share; they are computed once per

@@ -94,6 +94,25 @@ class _BadRequest(Exception):
         self.status = status
 
 
+class _NonFinite(str):
+    """A parsed ``NaN``/``Infinity`` literal, kept to name its field."""
+
+
+def _non_finite_field(value: Any, path: str) -> Optional[str]:
+    """``"<path>: the JSON literal <literal>"`` for the first
+    :class:`_NonFinite` in a parsed body, or None."""
+    if isinstance(value, _NonFinite):
+        return f"{path}: the JSON literal {value}"
+    if isinstance(value, (dict, list)):
+        keyed = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, child in keyed:
+            step = f".{key}" if isinstance(value, dict) else f"[{key}]"
+            found = _non_finite_field(child, path + step)
+            if found is not None:
+                return found
+    return None
+
+
 class HttpServer:
     """Serves one :class:`ReliabilityService` over HTTP.
 
@@ -369,9 +388,17 @@ class HttpServer:
         if request.method != "POST":
             raise ProtocolError(f"{request.path} accepts POST")
         try:
-            return json.loads(request.body.decode("utf-8") or "null")
+            text = request.body.decode("utf-8") or "null"
+            body = json.loads(text, parse_constant=_NonFinite)
         except (ValueError, UnicodeDecodeError) as exc:
             raise ProtocolError(f"body is not valid JSON: {exc}") from None
+        # Python's parser accepts NaN/Infinity; JSON and every field
+        # refuse them.  Only a body spelling one can hold a marker.
+        if "NaN" in text or "Infinity" in text:
+            literal = _non_finite_field(body, "body")
+            if literal is not None:
+                raise ProtocolError(f"{literal} is not a finite number")
+        return body
 
     async def _evaluate(
         self, request: _Request, req_info: Dict[str, Any]

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.linalg import gth_fundamental_matrix, gth_solve, gth_solve_batched
+from repro.core.linalg import (
+    gth_fundamental_matrix,
+    gth_solve,
+    gth_solve_batched,
+    gth_solve_unchecked,
+)
 
 
 def random_absorbing_system(rng, n):
@@ -232,17 +237,6 @@ class TestRowLimitedSolve:
     """``rows=k`` stops back-substitution after row k-1; the rows it
     returns are bitwise the full solve's (row k reads only rows < k)."""
 
-    @pytest.mark.parametrize("n", [1, 2, 4, 7])
-    def test_scalar_leading_rows_bitwise(self, n):
-        rng = np.random.default_rng(100 + n)
-        rates, absorb = random_absorbing_system(rng, n)
-        for rhs in (rng.uniform(0.0, 1.0, size=n), np.eye(n)):
-            full = gth_solve(rates, absorb, rhs)
-            for k in range(1, n + 1):
-                limited = gth_solve(rates, absorb, rhs, rows=k)
-                assert limited.shape == (k,) + rhs.shape[1:]
-                assert np.array_equal(limited, full[:k])
-
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_batched_leading_rows_bitwise(self, n):
         rng = np.random.default_rng(200 + n)
@@ -266,7 +260,7 @@ class TestRowLimitedSolve:
         rates = np.array([[0.0, 1.0], [0.0, 0.0]])
         absorb = np.array([1.0, 0.0])
         with pytest.raises(ValueError, match="cannot reach absorption"):
-            gth_solve(rates, absorb, np.eye(2), rows=1)
+            gth_solve_unchecked(rates, absorb, np.eye(2), 1)
         with pytest.raises(ValueError, match="cannot reach absorption"):
             gth_solve_batched(rates[None], absorb[None], np.eye(2)[None], rows=1)
 
@@ -274,6 +268,97 @@ class TestRowLimitedSolve:
     def test_rows_out_of_range_rejected(self, rows):
         rates, absorb = random_absorbing_system(np.random.default_rng(1), 2)
         with pytest.raises(ValueError, match="rows must be in 1..2"):
-            gth_solve(rates, absorb, np.ones(2), rows=rows)
-        with pytest.raises(ValueError, match="rows must be in 1..2"):
             gth_solve_batched(rates[None], absorb[None], np.ones((1, 2)), rows=rows)
+
+
+def _reference_gth_solve(transient_rates, absorb_rates, rhs, rows=None):
+    """The GTH elimination with separate updates of ``A``, ``b`` and ``X``
+    per pivot (input checks left out), kept as the bitwise reference for
+    the one-block ``[X | b | A]`` kernel."""
+    a = np.asarray(transient_rates, dtype=float).copy()
+    b = np.asarray(absorb_rates, dtype=float).copy()
+    rhs = np.asarray(rhs, dtype=float)
+    squeeze = rhs.ndim == 1
+    x = rhs.reshape(rhs.shape[0], -1).astype(float).copy()
+    n = a.shape[0]
+    for p in range(n - 1, 0, -1):
+        d_p = a[p, :p].sum() + b[p]
+        if d_p <= 0:
+            raise ValueError(
+                f"state {p} cannot reach absorption; the system is singular"
+            )
+        factors = a[:p, p] / d_p
+        a[:p, :p] += np.outer(factors, a[p, :p])
+        b[:p] += factors * b[p]
+        x[:p] += np.outer(factors, x[p])
+    if b[0] <= 0:
+        raise ValueError("state 0 cannot reach absorption; the system is singular")
+    rows = n if rows is None else rows
+    x[0] = x[0] / b[0]
+    for p in range(1, rows):
+        d_p = a[p, :p].sum() + b[p]
+        x[p] = (x[p] + a[p, :p] @ x[:p]) / d_p
+    x = x[:rows]
+    return x[:, 0] if squeeze else x
+
+
+def _bits(x):
+    x = np.asarray(x, dtype=float)
+    return x.shape, x.tobytes()
+
+
+def _outcome(solve):
+    try:
+        return _bits(solve())
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+class TestFusedKernelMatchesReference:
+    """The one-block-update kernel is bitwise the three-update one."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 18),
+        density=st.floats(0.0, 1.0),
+        absorb_density=st.floats(0.0, 1.0),
+        rhs_kind=st.sampled_from(["vector", "identity", "matrix"]),
+        init_frac=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_bitwise_equal(
+        self, seed, n, density, absorb_density, rhs_kind, init_frac
+    ):
+        rng = np.random.default_rng(seed)
+        rates = 10.0 ** rng.uniform(-8, 4, size=(n, n))
+        rates[rng.random((n, n)) >= density] = 0.0
+        np.fill_diagonal(rates, 0.0)
+        absorb = 10.0 ** rng.uniform(-8, 4, size=n)
+        absorb[rng.random(n) >= absorb_density] = 0.0
+        if rhs_kind == "vector":
+            rhs = rng.uniform(0.0, 1.0, size=n)
+        elif rhs_kind == "identity":
+            rhs = np.eye(n)
+        else:
+            rhs = rng.uniform(0.0, 1.0, size=(n, 3))
+        init_pos = int(init_frac * n)
+
+        assert _outcome(lambda: gth_solve(rates, absorb, rhs)) == _outcome(
+            lambda: _reference_gth_solve(rates, absorb, rhs)
+        )
+        rhs2d = rhs.reshape(n, -1)
+
+        def initial_row(solve):
+            return solve(rates, absorb, rhs2d, init_pos + 1)[init_pos]
+
+        assert _outcome(lambda: initial_row(gth_solve_unchecked)) == _outcome(
+            lambda: initial_row(_reference_gth_solve)
+        )
+
+    def test_unchecked_leaves_inputs_untouched(self):
+        rates, absorb = random_absorbing_system(np.random.default_rng(5), 4)
+        rhs = np.eye(4)
+        before = (rates.copy(), absorb.copy(), rhs.copy())
+        gth_solve_unchecked(rates, absorb, rhs, 4)
+        for kept, now in zip(before, (rates, absorb, rhs)):
+            assert np.array_equal(kept, now)

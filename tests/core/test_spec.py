@@ -1,11 +1,12 @@
 """Unit tests for the declarative spec IR (compile--bind--solve front end)."""
 
+import math
 import zlib
 
 import numpy as np
 import pytest
 
-from repro.core import ChainBuilder
+from repro.core import CTMC, ChainBuilder, Transition
 from repro.core.spec import (
     CompiledSpecCache,
     ModelSpec,
@@ -287,11 +288,13 @@ def _bits(value):
     return arr.dtype, arr.shape, arr.tobytes()
 
 
-def _family_env(spec, rng, points=None, integers=False):
+def _family_env(spec, rng, points=None, integers=False, h_max=1.5):
     """A random environment for ``spec``: ``n``/``d`` are whole numbers,
-    ``h``-style probabilities straddle the clamp at 1, everything else is
-    a positive rate.  ``points`` makes every entry a length-P array;
-    ``integers`` makes every entry integer-valued."""
+    ``h``-style probabilities straddle the clamp at 1 (up to ``h_max``),
+    everything else is a positive rate.  ``points`` makes every entry a
+    length-P array; ``integers`` makes every entry integer-valued.  An
+    ``h`` above 1 can drive an unclamped ``1 - h`` rate negative, which
+    the tape evaluates but :meth:`CompiledChain.bind` rejects."""
     env = {}
     for name in spec.param_names:
         size = points
@@ -303,7 +306,7 @@ def _family_env(spec, rng, points=None, integers=False):
             )
             continue
         if name.startswith("h") or name == "k_t":
-            value = rng.uniform(0.0, 1.5, size=size)
+            value = rng.uniform(0.0, h_max, size=size)
         else:
             value = 10.0 ** rng.uniform(-7, 1, size=size)
         env[name] = value if size is not None else float(value)
@@ -362,7 +365,7 @@ class TestRateTape:
         per-edge tree evaluation used to."""
         spec = specs[name]
         compiled = spec.compile()
-        env = _family_env(spec, np.random.default_rng(3))
+        env = _family_env(spec, np.random.default_rng(3), h_max=1.0)
         index = {s: i for i, s in enumerate(spec.states)}
         q = np.zeros((len(spec.states),) * 2)
         for src, dst, expr in spec.edges:
@@ -395,3 +398,164 @@ class TestRateTape:
     def test_missing_parameters_named_in_sorted_order(self):
         with pytest.raises(SpecError, match="missing parameters: h, mu"):
             _toy_spec().compile().bind({"lam": 0.25})
+
+
+def _no_raid_env(node_rebuild_rate):
+    from repro.models.specs import no_raid_env
+
+    return no_raid_env(
+        1, 64, 12, 1e-6, 2e-6, node_rebuild_rate, 0.05, {"N": 0.01, "d": 0.001}
+    )
+
+
+_BAD_RATES = [math.nan, math.inf, -1.0]
+
+
+class TestRateChecks:
+    """Every bind rejects a non-finite or negative rate, naming the spec,
+    the edge and the value, instead of solving to NaN or a wrong finite
+    answer."""
+
+    @pytest.fixture
+    def compiled(self):
+        from repro.models.specs import compiled, no_raid_spec
+
+        return compiled(no_raid_spec(1))
+
+    @pytest.mark.parametrize("bad", _BAD_RATES, ids=repr)
+    @pytest.mark.parametrize("bind", ["bind", "bind_sparse"])
+    def test_scalar_binds_reject(self, compiled, bind, bad):
+        with pytest.raises(SpecError) as info:
+            getattr(compiled, bind)(_no_raid_env(bad))
+        message = str(info.value)
+        assert "'no_raid_ft1'" in message
+        assert " -> " in message
+        assert f"has rate {bad!r};" in message
+
+    @pytest.mark.parametrize("bad", _BAD_RATES, ids=repr)
+    def test_bind_batch_names_first_offending_point(self, compiled, bad):
+        env = _no_raid_env(np.array([0.1, 0.2, bad, bad]))
+        with pytest.raises(SpecError) as info:
+            compiled.bind_batch(env)
+        message = str(info.value)
+        assert "'no_raid_ft1'" in message
+        assert f"has rate {bad!r} at point 2;" in message
+
+    def test_valid_rates_still_bind(self, compiled):
+        env = _no_raid_env(0.1)
+        value = compiled.bind(env).mean_time_to_absorption()
+        assert math.isfinite(value) and value > 0
+        assert compiled.bind_sparse(env).num_states == compiled.num_states
+        (chain,) = compiled.bind_batch(_no_raid_env(np.array([0.1])))
+        assert chain.mean_time_to_absorption() == value
+
+
+def _eager(compiled, env):
+    """The chain built the general way, from one transition per positive
+    tree-evaluated rate: the oracle a spec-bound chain must match."""
+    spec = compiled.spec
+    transitions = []
+    for src, dst, expr in spec.edges:
+        rate = expr.evaluate(env)
+        if rate > 0:
+            transitions.append(Transition(src, dst, rate))
+    return CTMC(spec.states, transitions, initial_state=spec.initial_state)
+
+
+def _assert_same_chain(bound, eager):
+    got, want = bound.generator_matrix(), eager.generator_matrix()
+    assert got.tobytes() == want.tobytes()
+    assert bound.diagnostics() == eager.diagnostics()
+    assert bound.absorbing_states() == eager.absorbing_states()
+    assert bound.transient_states() == eager.transient_states()
+    assert bound.absorb() == eager.absorb()
+    assert (
+        bound.mean_time_to_absorption().hex()
+        == eager.mean_time_to_absorption().hex()
+    )
+
+
+class TestCompiledStructure:
+    """The partition, initial position and scatter indices fixed at
+    compile time reproduce the eagerly assembled chain, bit for bit."""
+
+    def _mid_start_spec(self):
+        # Absorbing states first and in the middle; the initial state is
+        # transient position 2, and two absorbing states exercise the row
+        # sum of the (n_t, n_a) block.
+        b = SpecBuilder()
+        b.add_states("lost_a", "x", "y", "lost_b", "up")
+        b.add_rate("up", "x", param("lam") * 3.0)
+        b.add_rate("up", "lost_b", param("lam") * param("h"))
+        b.add_rate("x", "up", param("mu"))
+        b.add_rate("x", "y", param("lam") * 2.0)
+        b.add_rate("x", "lost_a", param("lam") * param("h"))
+        b.add_rate("y", "x", param("mu") * 2.0)
+        b.add_rate("y", "lost_a", param("lam"))
+        b.add_rate("y", "lost_b", param("lam") * 0.5)
+        return b.build("mid_start", initial_state="up")
+
+    def test_initial_state_past_transient_position_zero(self):
+        compiled = self._mid_start_spec().compile()
+        assert compiled.init_pos == 2
+        assert compiled.signature == (
+            ("lost_a", "x", "y", "lost_b", "up"),
+            ("x", "y", "up"),
+            ("lost_a", "lost_b"),
+            "up",
+        )
+        env = {"lam": 1e-5, "mu": 0.25, "h": 0.03}
+        bound = compiled.bind(env)
+        assert bound._compiled is compiled
+        spec = compiled.spec
+        reference = CTMC(
+            spec.states,
+            [Transition(s, t, e.evaluate(env)) for s, t, e in spec.edges],
+            initial_state="up",
+        )
+        assert (
+            bound.mean_time_to_absorption().hex()
+            == reference.mean_time_to_absorption().hex()
+        )
+        _assert_same_chain(bound, reference)
+
+    def test_absorbing_initial_state_solves_to_zero(self):
+        b = SpecBuilder()
+        b.add_rate("x", "done", param("lam"))
+        b.add_state("start")
+        compiled = b.build("stuck", initial_state="start").compile()
+        assert compiled.init_pos == -1
+        assert compiled.bind({"lam": 1.0}).mean_time_to_absorption() == 0.0
+
+    @pytest.mark.parametrize("name", _PRODUCTION_SPECS)
+    def test_bound_chain_equals_eager_assembly(self, name):
+        from repro.models.specs import all_family_specs
+
+        compiled = all_family_specs()[name].compile()
+        env = _family_env(compiled.spec, np.random.default_rng(11), h_max=1.0)
+        bound = compiled.bind(env)
+        assert bound._compiled is compiled
+        _assert_same_chain(bound, _eager(compiled, env))
+        (batched,) = compiled.bind_batch(
+            {k: np.array([v]) for k, v in env.items()}
+        )
+        _assert_same_chain(batched, _eager(compiled, env))
+
+    def test_zero_exit_point_takes_the_general_path(self):
+        # mu = 0 leaves "down" with no positive exit: the compiled
+        # partition does not hold, so the chain is assembled eagerly and
+        # "down" counts as absorbing, exactly as in the generator.
+        b = SpecBuilder()
+        b.add_rate("up", "down", param("lam"))
+        b.add_rate("down", "up", param("mu"))
+        b.add_rate("up", "lost", param("lam") * 0.5)
+        compiled = b.build("repairable").compile()
+        env = {"lam": 0.25, "mu": 0.0}
+        bound = compiled.bind(env)
+        assert bound._compiled is None
+        assert bound.absorbing_states() == ("down", "lost")
+        _assert_same_chain(bound, _eager(compiled, env))
+        batch = compiled.bind_batch({"lam": 0.25, "mu": np.array([0.0, 40.0])})
+        assert [c._compiled is None for c in batch] == [True, False]
+        for chain, mu in zip(batch, (0.0, 40.0)):
+            _assert_same_chain(chain, _eager(compiled, {"lam": 0.25, "mu": mu}))

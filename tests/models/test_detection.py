@@ -104,28 +104,45 @@ class TestFrozenChains:
     """The spec-bound chains reproduce, bit for bit, the generators the
     pre-spec ChainBuilder construction produced (frozen in tests/data)."""
 
-    @pytest.mark.parametrize(
-        "case", _fixture_cases(), ids=lambda case: case["name"]
-    )
-    def test_matches_fixture(self, case):
+    @staticmethod
+    def _chain(case):
         if "model" in case:
             spec = case["model"]
             params = Parameters.baseline().replace(**spec["overrides"])
-            chain = DetectionLatencyModel(
+            return DetectionLatencyModel(
                 params,
                 InternalRaid[spec["raid_level"]],
                 spec["fault_tolerance"],
                 spec["detection_hours"],
             ).chain()
-        else:
-            args = [
-                a if isinstance(a, int) else float.fromhex(a)
-                for a in case["args"]
-            ]
-            chain = build_detection_chain(*args)
+        args = [
+            a if isinstance(a, int) else float.fromhex(a) for a in case["args"]
+        ]
+        return build_detection_chain(*args)
+
+    @pytest.mark.parametrize(
+        "case", _fixture_cases(), ids=lambda case: case["name"]
+    )
+    def test_matches_fixture(self, case):
+        chain = self._chain(case)
         assert chain.states == tuple(_label(s) for s in case["states"])
         assert chain.initial_state == _label(case["initial_state"])
         generator = [
             [float(x).hex() for x in row] for row in chain.generator_matrix()
         ]
         assert generator == case["generator"]
+
+    @pytest.mark.parametrize(
+        "case", _fixture_cases(), ids=lambda case: case["name"]
+    )
+    def test_zero_arrival_point_takes_the_general_path(self, case):
+        """With no arrivals the initial state has no positive exit, so the
+        compiled partition does not hold: that point is assembled eagerly
+        and its initial state is absorbing, as in the frozen generator.
+        Every other point binds rates only."""
+        chain = self._chain(case)
+        general = case["name"] == "zero_arrival_rates"
+        assert (chain._compiled is None) is general
+        if general:
+            assert chain.initial_state in chain.absorbing_states()
+            assert chain.mean_time_to_absorption() == 0.0

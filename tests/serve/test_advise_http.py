@@ -127,7 +127,7 @@ def test_bad_axis_answers_400_naming_the_axis():
 )
 def test_non_finite_input_answers_400_naming_the_field(body, field):
     # json.dumps spells these Infinity / NaN, which the server's parser
-    # accepts, so they must be rejected by validation, not by a 500.
+    # refuses, naming the field; 10**400 parses and fails validation.
     async def drive():
         async with serving(ServeConfig(port=0)) as server:
             return await _request(
@@ -138,6 +138,23 @@ def test_non_finite_input_answers_400_naming_the_field(body, field):
     assert status == 400
     assert field in payload["error"]
     assert "finite" in payload["error"]
+
+
+def test_non_finite_json_literal_refused_at_parse():
+    body = {"seed": 0, "cost_model": {"node_cost_per_year": float("-inf")}}
+
+    async def drive():
+        async with serving(ServeConfig(port=0)) as server:
+            return await _request(
+                server.host, server.port, "POST", "/v1/advise", body
+            )
+
+    status, _, payload = asyncio.run(drive())
+    assert status == 400
+    assert payload["error"] == (
+        "body.cost_model.node_cost_per_year: the JSON literal -Infinity "
+        "is not a finite number"
+    )
 
 
 def test_oversized_space_answers_400():

@@ -328,6 +328,23 @@ def test_error_statuses():
     assert results["oversize"][0] == 413
 
 
+def test_non_finite_json_literal_refused_at_parse():
+    body = b'{"points": [{"config": "ft2_raid5", "params": {"node_mttf_hours": NaN}}]}'
+
+    async def drive():
+        async with serving(ServeConfig(port=0)) as server:
+            return await _request(
+                server.host, server.port, "POST", "/v1/evaluate", raw_body=body
+            )
+
+    status, _, payload = _run(drive())
+    assert status == 400
+    assert payload["error"] == (
+        "body.points[0].params.node_mttf_hours: the JSON literal NaN "
+        "is not a finite number"
+    )
+
+
 def test_overload_sheds_429_with_retry_after():
     """With admission closed (drained batcher), every solve request
     sheds as 429 carrying the configured Retry-After hint."""
