@@ -30,7 +30,7 @@ from repro.analysis import baseline_figure, run_baseline
 from repro.engine.keys import point_key
 from repro.models.configurations import all_configurations
 from repro.obs.tracer import Tracer
-from repro.runtime import ProcessTopology
+from repro.runtime.topology import ProcessTopology
 from repro.serve.batcher import CoalescingBatcher
 from repro.serve.shard import shard_index
 from repro.serve.solvecore import make_state, solve_handler, synth_span

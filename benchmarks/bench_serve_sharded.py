@@ -14,7 +14,7 @@ ratios isolate exactly what each layer buys:
   serve.txt's baseline arm;
 * arm 2: the coalescing batcher on the same single solver thread,
   cache off — serve.txt's batched arm;
-* arm 3: four forked shard workers on :class:`repro.runtime.ProcessTopology`,
+* arm 3: four forked shard workers on :class:`repro.runtime.topology.ProcessTopology`,
   every point routed by spec hash to the worker owning its chain
   family's compiled spec and shard-local TTL cache, with a declared
   per-request deadline budget.
@@ -44,7 +44,7 @@ from repro.analysis import format_table
 from repro.core.solvers import SolveOptions
 from repro.engine.keys import point_key
 from repro.models.configurations import all_configurations
-from repro.runtime import ProcessTopology
+from repro.runtime.topology import ProcessTopology
 from repro.serve.batcher import CoalescingBatcher
 from repro.serve.loadgen import percentile
 from repro.serve.shard import shard_index

@@ -1,8 +1,8 @@
 """Sweep-engine benchmark: the figure 14-20 sweep, serial vs engine.
 
 The acceptance bar for the engine is concrete: evaluating the full
-sensitivity-figure sweep through ``SweepEngine(jobs=4)`` must be at least
-2x faster than the pre-engine point-by-point path while producing
+sensitivity-figure sweep through the (in-process) ``SweepEngine`` must be
+at least 2x faster than the pre-engine point-by-point path while producing
 bitwise-identical MTTDL curves.  This benchmark measures both arms (plus
 a warm-disk-cache arm), asserts the bar, and archives the wall times in
 ``benchmarks/results/sweep_engine.txt``.
@@ -46,29 +46,29 @@ def test_engine_speedup_report(baseline_params, tmp_path):
 
     serial_time, serial_figs = _best_of(lambda: all_figures(params))
     engine_time, engine_figs = _best_of(
-        lambda: all_figures(params, engine=SweepEngine(params, jobs=4))
+        lambda: all_figures(params, engine=SweepEngine(params))
     )
     _assert_identical(serial_figs, engine_figs)
     speedup = serial_time / engine_time
 
     # Warm-disk-cache arm: every point is answered from the result cache.
     cache_dir = tmp_path / "cache"
-    all_figures(params, engine=SweepEngine(params, jobs=4, cache=cache_dir))
+    all_figures(params, engine=SweepEngine(params, cache=cache_dir))
     cached_time, cached_figs = _best_of(
         lambda: all_figures(
-            params, engine=SweepEngine(params, jobs=4, cache=cache_dir)
+            params, engine=SweepEngine(params, cache=cache_dir)
         )
     )
     _assert_identical(serial_figs, cached_figs)
 
-    provenance = SweepEngine(params, jobs=4)
+    provenance = SweepEngine(params)
     all_figures(params, engine=provenance)
     rows = [
         ["arm", f"wall time (best of {TRIALS})", "speedup"],
         ["serial point-by-point", f"{serial_time * 1e3:8.1f} ms", "1.00x"],
-        ["SweepEngine(jobs=4)", f"{engine_time * 1e3:8.1f} ms", f"{speedup:.2f}x"],
+        ["SweepEngine", f"{engine_time * 1e3:8.1f} ms", f"{speedup:.2f}x"],
         [
-            "SweepEngine(jobs=4) + warm disk cache",
+            "SweepEngine + warm disk cache",
             f"{cached_time * 1e3:8.1f} ms",
             f"{serial_time / cached_time:.2f}x",
         ],
@@ -91,6 +91,6 @@ def test_all_figures_timing(benchmark, baseline_params, arm):
     else:
         benchmark(
             lambda: all_figures(
-                baseline_params, engine=SweepEngine(baseline_params, jobs=4)
+                baseline_params, engine=SweepEngine(baseline_params)
             )
         )

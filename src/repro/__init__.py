@@ -22,7 +22,7 @@ Quickstart::
 
 Sweeps run through the engine::
 
-    engine = repro.SweepEngine(jobs=4, cache=True)
+    engine = repro.SweepEngine(cache=True)
     results = engine.evaluate_many(
         [(c, params) for c in repro.ALL_CONFIGURATIONS]
     )

@@ -221,12 +221,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="evaluation method",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="sweep-engine worker processes",
-    )
-    parser.add_argument(
         "--set",
         action="append",
         default=[],
@@ -278,7 +272,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     with session if session is not None else contextlib.nullcontext():
         from ..engine import SweepEngine
 
-        engine = SweepEngine(base_params=base, jobs=args.jobs, cache=False)
+        engine = SweepEngine(base_params=base, cache=False)
         try:
             result = advise(request, base_params=base, engine=engine)
         except SpaceError as exc:

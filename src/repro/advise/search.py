@@ -188,7 +188,6 @@ class AdviseResult:
             ),
             "provenance": {
                 "method": prov.method,
-                "jobs": prov.jobs,
                 "cache_enabled": prov.cache_enabled,
                 "spec_hits": prov.spec_hits,
                 "spec_misses": prov.spec_misses,
@@ -260,9 +259,7 @@ def advise(
     """
     started = time.perf_counter()
     if engine is None:
-        engine = SweepEngine(
-            base_params=base_params, jobs=1, cache=False
-        )
+        engine = SweepEngine(base_params=base_params, cache=False)
     base = base_params if base_params is not None else engine.base_params
     registry = obs.global_metrics()
     registry.counter("advise.requests").inc()

@@ -6,7 +6,6 @@ Installed as ``repro-figures``::
     repro-figures 13 17         # selected figures
     repro-figures --fig 13      # same, flag spelling (repeatable)
     repro-figures --approx      # use the paper's closed forms
-    repro-figures --jobs 4      # fan sweeps out over 4 processes
     repro-figures --no-cache    # skip the on-disk result cache
     repro-figures --verbose     # report cache/compiled-spec hit rates
 
@@ -14,8 +13,7 @@ Installed as ``repro-figures``::
                                  # JSONL span trace + per-phase timing tree
 
 The sensitivity figures run through :class:`repro.engine.SweepEngine`;
-results are bitwise identical at any ``--jobs`` and cache setting, and
-with tracing on or off.
+results are bitwise identical with the cache and tracing on or off.
 """
 
 from __future__ import annotations
@@ -102,14 +100,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "or --set drive_mttf_hours=750000 (repeatable)",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="evaluation processes for the sensitivity sweeps "
-        "(default: all CPUs)",
-    )
-    parser.add_argument(
         "--no-cache",
         action="store_true",
         help="skip the on-disk result cache (.repro_cache/)",
@@ -132,12 +122,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     params = apply_param_overrides(Parameters.baseline(), args.set, parser.error)
 
-    engine = SweepEngine(
-        params,
-        jobs=args.jobs,
-        cache=not args.no_cache,
-        method=method,
-    )
+    engine = SweepEngine(params, cache=not args.no_cache, method=method)
     session = observed_session(args, root="repro-figures")
     with session if session is not None else contextlib.nullcontext():
         if session is not None:

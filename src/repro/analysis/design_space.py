@@ -82,7 +82,7 @@ def enumerate_designs(
     level outermost, matching this module's historical order); invalid
     combinations (R <= t, R > N) are skipped silently.  With an
     ``engine``, the whole grid is evaluated in one batch (compiled specs
-    re-bound per point, pooled, optionally disk-cached) with
+    re-bound per point, optionally disk-cached) with
     bitwise-identical results.
     """
     d = base.drives_per_node

@@ -10,8 +10,8 @@ survivors: [FT2, no internal RAID], [FT2, internal RAID 5],
 
 Every driver accepts an optional ``engine`` — a
 :class:`~repro.engine.SweepEngine` through which all points are
-evaluated (compiled specs re-bound per point, pooled, optionally
-disk-cached) with bitwise identical results; ``repro-figures --jobs N`` uses exactly this hook.
+evaluated (compiled specs re-bound per point, optionally disk-cached)
+with bitwise identical results; ``repro-figures`` uses exactly this hook.
 
 MTTF regimes follow the paper: drive MTTF low/high = 100,000 / 750,000
 hours; node MTTF low/high = 100,000 / 1,000,000 hours.

@@ -70,7 +70,7 @@ def sweep(
         method: ``"exact"`` or ``"approx"`` MTTDL computation.
         engine: optional :class:`~repro.engine.SweepEngine`; when given,
             all points are evaluated through it (compiled specs
-            re-bound per point, pooled, optionally disk-cached) with
+            re-bound per point, optionally disk-cached) with
             bitwise-identical results.
 
     Returns:

@@ -1,8 +1,8 @@
-"""repro.engine — the parallel, memoized sweep engine.
+"""repro.engine — the memoized sweep engine.
 
-The engine evaluates grids of (configuration, parameters) points with
-process-pool fan-out, chain-topology memoization, batched GTH solves and
-an optional on-disk result cache, while producing floats bitwise
+The engine evaluates grids of (configuration, parameters) points
+in-process with compiled-spec memoization, batched GTH solves and an
+optional on-disk result cache, while producing floats bitwise
 identical to the plain point-by-point evaluation.  It also hosts the
 unified :func:`repro.evaluate` facade.
 """
@@ -10,7 +10,6 @@ unified :func:`repro.evaluate` facade.
 from .cache import DEFAULT_CACHE_DIR, DiskCache
 from .facade import evaluate
 from .keys import CACHE_SCHEMA_VERSION, point_key, stable_digest
-from ..runtime import default_jobs, should_pool, split_chunks
 from .result import EngineProvenance, SweepResult
 from .solver import (
     SolveContext,
@@ -34,7 +33,6 @@ __all__ = [
     "SweepEngine",
     "SweepResult",
     "closed_form_mttdl",
-    "default_jobs",
     "evaluate",
     "evaluate_chunk",
     "mttdl_batched",
@@ -42,8 +40,6 @@ __all__ = [
     "point_key",
     "point_payload_valid",
     "prepare_point",
-    "should_pool",
     "solve_grouped",
-    "split_chunks",
     "stable_digest",
 ]

@@ -24,7 +24,6 @@ class EngineProvenance:
     Attributes:
         method: normalized evaluation method ("analytic", "closed_form",
             "monte_carlo").
-        jobs: process-pool width used (1 = serial).
         cache_enabled: whether the on-disk result cache participated.
         cache_hits / cache_misses: disk-cache counters for this run.
         spec_hits / spec_misses: compiled-spec cache counters (a hit
@@ -37,7 +36,6 @@ class EngineProvenance:
     """
 
     method: str = "analytic"
-    jobs: int = 1
     cache_enabled: bool = False
     cache_hits: int = 0
     cache_misses: int = 0
@@ -50,7 +48,7 @@ class EngineProvenance:
 
     def describe(self) -> str:
         """One-line summary (the ``--verbose`` cache/spec report)."""
-        parts = [f"method={self.method}", f"jobs={self.jobs}"]
+        parts = [f"method={self.method}"]
         if self.cache_enabled:
             parts.append(
                 f"disk cache {self.cache_hits} hits / "

@@ -24,8 +24,8 @@ loop, none of which changes a single output bit:
   scalar solver, and an explicit :class:`~repro.core.solvers.SolveOptions`
   can reroute the same points to the sparse backend.
 
-The bitwise guarantee is what lets the sweep engine mix serial, pooled
-and cached execution freely: every path yields the exact floats of the
+The bitwise guarantee is what lets the sweep engine, the serving layer
+and the disk cache mix freely: every path yields the exact floats of the
 pre-engine point-by-point code.
 """
 
@@ -365,25 +365,3 @@ def evaluate_chunk(
         for i, mttdl in zip(chain_slots, mttdl_batched(chains, options)):
             mttdls[i] = mttdl
     return mttdls  # type: ignore[return-value]
-
-
-def _worker_evaluate(
-    tasks: Sequence[Tuple[Configuration, Parameters, str]],
-    options: Optional[SolveOptions] = None,
-) -> Tuple[List[float], Dict[str, object]]:
-    """Pool-worker entry point: evaluate a chunk with a fresh context and
-    report the counters (and compiled spec hashes) back for aggregation.
-
-    Span shipping is the runtime's job now: when the parent submits a
-    traced task, :class:`repro.runtime.ProcessTopology` wraps the worker
-    call in :func:`obs.capture_spans` and adopts the finished spans under
-    the parent's dispatch span, so a pooled sweep's span tree matches the
-    in-process one worker-for-chunk.  The span opened here is a free
-    no-op when tracing is off.
-    """
-    ctx = SolveContext()
-    with obs.span("engine.worker", tasks=len(tasks)):
-        results = evaluate_chunk(tasks, ctx, options)
-    stats: Dict[str, object] = dict(ctx.stats())
-    stats["spec_hashes"] = ctx.spec_hashes()
-    return results, stats

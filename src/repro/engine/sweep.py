@@ -1,15 +1,14 @@
-"""The parallel sweep engine.
+"""The sweep engine.
 
 :class:`SweepEngine` evaluates grids of (configuration, parameters)
-points with three accelerators — process-pool fan-out, compiled-spec
-binding (plus the array-rates memo), and an optional on-disk result
-cache — while
+points in-process with two accelerators — compiled-spec binding (plus
+the array-rates memo) and an optional on-disk result cache — while
 guaranteeing the exact floats of the pre-engine point-by-point code (see
 :mod:`repro.engine.solver` for why every path is bitwise-deterministic).
 
 Typical use::
 
-    engine = SweepEngine(jobs=4, cache=True)
+    engine = SweepEngine(cache=True)
     result = engine.sweep(
         sensitivity_configurations(),
         Axis("drive_mttf_hours", (100_000, 300_000, 750_000)),
@@ -19,7 +18,6 @@ Typical use::
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,9 +32,8 @@ from .. import __version__, obs
 from ..reporting import Series
 from .cache import DEFAULT_CACHE_DIR, DiskCache
 from .keys import point_key
-from ..runtime import default_jobs, run_chunks, should_pool, split_chunks
 from .result import EngineProvenance, SweepResult
-from .solver import SolveContext, _worker_evaluate, evaluate_chunk, normalize_method
+from .solver import SolveContext, evaluate_chunk, normalize_method
 
 __all__ = ["Axis", "GridPoint", "SweepEngine", "point_payload_valid"]
 
@@ -99,9 +96,10 @@ class SweepEngine:
     Args:
         base_params: default baseline for :meth:`sweep` / :meth:`grid`
             (the paper's Section 6 baseline when omitted).
-        jobs: process-pool width; ``None`` means ``os.cpu_count()``.  The
-            pool engages only when a batch is large enough to amortize
-            process startup — results are identical either way.
+        jobs: must be 1.  The engine always evaluates in-process (the
+            widest sweep here is milliseconds of work, far below a
+            process pool's start-up cost); Monte-Carlo replica fan-out
+            is :func:`repro.sim.estimate_mttdl`'s ``jobs``.
         cache: on-disk result cache: ``False`` (off), ``True`` (default
             directory ``.repro_cache/``), a directory path, or a
             :class:`DiskCache` instance.
@@ -114,20 +112,22 @@ class SweepEngine:
             stale entry.
     """
 
-    #: Worker-side counter names folded into provenance snapshots.
-    _WORKER_COUNTERS = ("spec_hits", "spec_misses", "array_hits", "array_misses")
-
     def __init__(
         self,
         base_params: Optional[Parameters] = None,
         *,
-        jobs: Optional[int] = None,
+        jobs: int = 1,
         cache: Union[bool, str, Path, DiskCache] = False,
         method: str = "analytic",
         options: Optional[SolveOptions] = None,
     ) -> None:
+        if jobs != 1:
+            raise ValueError(
+                f"SweepEngine evaluates in-process; jobs must be 1, got "
+                f"{jobs!r} (for Monte-Carlo replica fan-out use "
+                "repro.sim.estimate_mttdl(jobs=...))"
+            )
         self._base = base_params if base_params is not None else Parameters.baseline()
-        self._jobs = default_jobs() if jobs is None else max(1, int(jobs))
         self._method = normalize_method(method)
         self._options = DEFAULT_SOLVE_OPTIONS if options is None else options
         if isinstance(cache, DiskCache):
@@ -139,18 +139,9 @@ class SweepEngine:
         else:
             self._cache = None
         self._ctx = SolveContext()
-        # Engine-level metrics: batch tallies plus the counters shipped
-        # back by pooled workers (folded into provenance snapshots).
         self.metrics = obs.Metrics()
         self._points_counter = self.metrics.counter("engine.points")
         self._batches_counter = self.metrics.counter("engine.batches")
-        self._worker_stats = {
-            name: self.metrics.counter(f"engine.pool.{name}")
-            for name in self._WORKER_COUNTERS
-        }
-        # Spec hashes compiled by pooled workers (the in-process hashes
-        # live in self._ctx.specs).
-        self._worker_spec_hashes: set = set()
 
     # ------------------------------------------------------------------ #
     # properties / stats
@@ -161,39 +152,32 @@ class SweepEngine:
         return self._base
 
     @property
-    def jobs(self) -> int:
-        return self._jobs
-
-    @property
     def cache(self) -> Optional[DiskCache]:
         return self._cache
 
     def provenance(self, method: Optional[str] = None) -> EngineProvenance:
         """A snapshot of the engine's settings and cumulative counters."""
-        local = self._ctx.stats()
-        pool = {name: c.value for name, c in self._worker_stats.items()}
-        hashes = set(self._ctx.spec_hashes()) | self._worker_spec_hashes
+        stats = self._ctx.stats()
         return EngineProvenance(
             method=normalize_method(method) if method else self._method,
-            jobs=self._jobs,
             cache_enabled=self._cache is not None,
             cache_hits=self._cache.hits if self._cache else 0,
             cache_misses=self._cache.misses if self._cache else 0,
-            spec_hits=local["spec_hits"] + pool["spec_hits"],
-            spec_misses=local["spec_misses"] + pool["spec_misses"],
-            array_hits=local["array_hits"] + pool["array_hits"],
-            array_misses=local["array_misses"] + pool["array_misses"],
-            spec_hashes=tuple(sorted(hashes)),
+            spec_hits=stats["spec_hits"],
+            spec_misses=stats["spec_misses"],
+            array_hits=stats["array_hits"],
+            array_misses=stats["array_misses"],
+            spec_hashes=tuple(sorted(self._ctx.spec_hashes())),
             engine=f"repro.engine/{__version__}",
         )
 
     def metrics_snapshot(self) -> obs.Metrics:
         """Every counter this engine touched, merged into one registry.
 
-        Folds the engine's own tallies (batches, points, pooled-worker
-        counters), the disk cache's registry and the in-process solve
-        context's registry (compiled-spec cache + array memo) — the
-        ``metrics.json`` payload for a sweep run.
+        Folds the engine's own tallies (batches, points), the disk
+        cache's registry and the solve context's registry (compiled-spec
+        cache + array memo) — the ``metrics.json`` payload for a sweep
+        run.
         """
         merged = obs.Metrics()
         merged.merge(self.metrics)
@@ -230,9 +214,8 @@ class SweepEngine:
     ) -> List[ReliabilityResult]:
         """Evaluate many (configuration, parameters) points, in order.
 
-        The disk cache is consulted first; remaining points are chunked
-        across the process pool (or evaluated in-process with the
-        engine's persistent memos when the batch is small).  Under the
+        The disk cache is consulted first; remaining points are evaluated
+        in one batch through the engine's persistent memos.  Under the
         default options, outputs are bitwise identical to
         ``config.reliability(params, method)`` for every point;
         non-default options reroute the solve through the selected
@@ -283,34 +266,8 @@ class SweepEngine:
                 (pairs[i][0], pairs[i][1], method) for i in miss_indices
             ]
             if tasks:
-                # When the pool cannot help (one job, a tiny batch, or a
-                # single-CPU host) stay in-process so the engine's persistent
-                # memos keep paying off across batches.
-                pooled = should_pool(self._jobs, len(tasks))
-                with obs.span(
-                    "engine.dispatch", tasks=len(tasks), pooled=pooled
-                ):
-                    if pooled:
-                        # Worker spans re-parent under this dispatch span
-                        # automatically (the runtime adopts them), so
-                        # pooled and in-process runs grow the same tree
-                        # shape.
-                        worker = functools.partial(
-                            _worker_evaluate, options=options
-                        )
-                        chunks = split_chunks(tasks, self._jobs)
-                        outputs = run_chunks(worker, chunks, self._jobs)
-                        computed = [m for out in outputs for m in out[0]]
-                        for _, stats in outputs:
-                            stats = dict(stats)
-                            self._worker_spec_hashes.update(
-                                stats.pop("spec_hashes", ())
-                            )
-                            for name, value in stats.items():
-                                self._worker_stats[name].inc(value)
-                    else:
-                        with obs.span("engine.worker", tasks=len(tasks)):
-                            computed = evaluate_chunk(tasks, self._ctx, options)
+                with obs.span("engine.dispatch", tasks=len(tasks)):
+                    computed = evaluate_chunk(tasks, self._ctx, options)
                 for slot, key, mttdl in zip(miss_indices, miss_keys, computed):
                     mttdls[slot] = mttdl
                 if self._cache is not None:

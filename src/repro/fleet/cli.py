@@ -76,12 +76,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="max states for the dense cross-check solve",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="sweep-engine worker processes for the uniform baseline",
-    )
-    parser.add_argument(
         "--set",
         action="append",
         default=[],
@@ -123,7 +117,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             from ..engine import SweepEngine
 
-            engine = SweepEngine(base, jobs=args.jobs, cache=False)
+            engine = SweepEngine(base, cache=False)
             run = run_corpus(
                 scenarios,
                 engine=engine,

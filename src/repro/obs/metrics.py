@@ -2,10 +2,10 @@
 
 A :class:`Metrics` registry owns named instruments.  Components that used
 to carry ad-hoc integer attributes (``DiskCache.hits``,
-``CompiledSpecCache.misses``, the sweep engine's pooled-worker tallies)
-now create their counters in a registry and expose the old attributes as
-read-through properties — the numbers are identical, but every registry
-can be merged into one flat ``metrics.json`` snapshot at the end of a run.
+``CompiledSpecCache.misses``) now create their counters in a registry
+and expose the old attributes as read-through properties — the numbers
+are identical, but every registry can be merged into one flat
+``metrics.json`` snapshot at the end of a run.
 
 Merging is **associative and commutative** (guarded by
 ``tests/obs/test_metrics.py``), so per-worker registries can be folded in

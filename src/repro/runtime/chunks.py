@@ -1,10 +1,9 @@
 """Chunked fan-out over a :class:`~repro.runtime.topology.ProcessTopology`.
 
-Work is split into one contiguous chunk per worker so each process gets
-the largest possible batch for its structure memo and batched solves.
-Because every execution path is bitwise-deterministic (see
-:mod:`repro.engine.solver`), chunk boundaries and worker scheduling cannot
-affect results — only wall-clock time.
+Work is split into one contiguous chunk per worker.  This is the
+Monte-Carlo replica fan-out (:func:`repro.sim.estimate_mttdl`): replicas
+are independently seeded, so chunk boundaries and worker scheduling
+cannot affect results — only wall-clock time.
 
 That determinism is also the safety net: if a worker dies mid-batch (a
 worker killed by the OOM killer, a signal, a crashed interpreter),

@@ -10,8 +10,9 @@ before it is read, kill a worker process as it starts a chunk, and so
 on.
 
 Actions installed before a worker process forks are inherited by the
-workers (:class:`repro.runtime.ProcessTopology` uses the ``fork`` start
-method), which is exactly what worker-death injection needs.
+workers (:class:`repro.runtime.topology.ProcessTopology` uses the
+``fork`` start method), which is exactly what worker-death injection
+needs.
 
 Example::
 

@@ -1,35 +1,28 @@
-"""Worker topologies: one execution substrate under engine and serve.
+"""Worker topologies: one execution substrate under serving and Monte Carlo.
 
-Both consumers of parallelism in this codebase used to own a private
-fan-out path — ``engine/pool.py`` drove an ephemeral
-``ProcessPoolExecutor`` per sweep, while ``repro.serve`` parked its
-solver and aux lanes on hand-rolled single-thread executors.  This
-module is the shared substrate beneath both: a :class:`WorkerTopology`
-is a fixed-size set of worker slots with one lifecycle
-(``start``/``health``/``stop``-with-drain/crash-restart), one submission
-interface (``submit`` returning a ``concurrent.futures.Future``,
-``asubmit`` for asyncio callers), per-worker state owned by the worker,
-and obs span shipping built in.
+A :class:`WorkerTopology` is a fixed-size set of worker slots with one
+lifecycle (``start``/``health``/``stop``-with-drain/crash-restart), one
+submission interface (``submit`` returning a
+``concurrent.futures.Future``, ``asubmit`` for asyncio callers),
+per-worker state owned by the worker, and obs span shipping built in.
 
-Three implementations share that contract:
+Two implementations share that contract:
 
-* :class:`InlineTopology` — runs the handler synchronously in the
-  caller; the degenerate single-process case and a debugging aid.
 * :class:`ThreadTopology` — one single-thread executor per slot, so a
   ``shard=`` hint pins work (and the slot's state) to a specific thread.
   This is serve's solver and aux lane in single-process mode.
 * :class:`ProcessTopology` — forked worker processes with duplex pipes,
   one reader thread per worker, crash detection with optional
   restart, and fork-inherited state (compiled-spec caches, installed
-  faultpoints).  This is the engine pool and serve's shard workers.
+  faultpoints).  This is the Monte-Carlo replica pool and serve's shard
+  workers.
 
 The handler contract is ``handler(state, payload) -> result`` where
 ``state`` is whatever the per-worker ``worker_state(index)`` factory
 built inside the worker.  Results and exceptions travel back through the
 future.  When tracing is active in the submitting process, process
 workers record their spans via :func:`repro.obs.capture_spans` and the
-parent adopts them under the span that was open at submission time — the
-same cross-process adoption contract the engine pool pioneered.
+parent adopts them under the span that was open at submission time.
 
 Crash semantics: a worker that dies mid-task fails every in-flight
 future on that worker with :class:`WorkerCrashed`; if ``restart=True``
@@ -52,7 +45,6 @@ from typing import Any, Callable, List, Optional, Sequence
 from .. import obs
 
 __all__ = [
-    "InlineTopology",
     "ProcessTopology",
     "ThreadTopology",
     "WorkerCrashed",
@@ -121,58 +113,6 @@ class WorkerTopology:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.stop(drain=exc_type is None)
         return False
-
-
-class InlineTopology(WorkerTopology):
-    """Run the handler synchronously in the calling thread."""
-
-    def __init__(
-        self,
-        handler: Callable[[Any, Any], Any],
-        *,
-        worker_state: Optional[Callable[[int], Any]] = None,
-        name: str = "repro-inline",
-    ) -> None:
-        self._handler = handler
-        self._worker_state = worker_state
-        self._state: Any = None
-        self._started = False
-        self.name = name
-
-    @property
-    def size(self) -> int:
-        return 1
-
-    def start(self) -> None:
-        if self._started:
-            return
-        self._state = self._worker_state(0) if self._worker_state else None
-        self._started = True
-
-    def stop(self, drain: bool = True) -> None:
-        self._started = False
-        self._state = None
-
-    def submit(self, payload: Any, shard: Optional[int] = None) -> Future:
-        if not self._started:
-            raise RuntimeError(f"{self.name}: topology is not started")
-        future: Future = Future()
-        try:
-            future.set_result(self._handler(self._state, payload))
-        except BaseException as exc:  # noqa: BLE001 — travels via the future
-            future.set_exception(exc)
-        return future
-
-    def health(self) -> List[WorkerInfo]:
-        return [
-            WorkerInfo(
-                index=0,
-                pid=os.getpid(),
-                alive=self._started,
-                restarts=0,
-                pending=0,
-            )
-        ]
 
 
 class ThreadTopology(WorkerTopology):

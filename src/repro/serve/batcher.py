@@ -5,10 +5,11 @@ consumer assembles them into batches under a close policy (full at
 ``max_batch_size`` points, ``max_wait_us`` after the first point
 arrived, or *earlier* when the tightest per-request deadline is at
 risk), and hands every batch to the runtime: a
-:class:`repro.runtime.ThreadTopology` solver thread in single-process
-mode, or a shard of a :class:`repro.runtime.ProcessTopology` in sharded
-mode.  The solve itself — grouping by spec hash, one stacked
-``bind_batch`` plus one batched GTH elimination per group — lives in
+:class:`repro.runtime.topology.ThreadTopology` solver thread in
+single-process mode, or a shard of a
+:class:`repro.runtime.topology.ProcessTopology` in sharded mode.  The
+solve itself — grouping by spec hash, one stacked ``bind_batch`` plus
+one batched GTH elimination per group — lives in
 :mod:`repro.serve.solvecore` and is identical everywhere.  This is the
 continuous-batching shape inference servers use: while one batch solves,
 the next accumulates on the queue, so batch sizes grow with load and
@@ -46,7 +47,7 @@ from ..core.solvers import DEFAULT_SOLVE_OPTIONS, SolveOptions
 from ..models.configurations import Configuration
 from ..models.parameters import Parameters
 from ..models.specs import spec_for_key
-from ..runtime import WorkerTopology, ThreadTopology
+from ..runtime.topology import ThreadTopology, WorkerTopology
 from .solvecore import PointTask, make_state, solve_handler, synth_span
 
 __all__ = ["CoalescingBatcher", "Overloaded", "batch_close_at", "synth_span"]
@@ -120,7 +121,7 @@ class CoalescingBatcher:
             instruments (a private one when omitted).
         runtime: the worker topology that solves batches.  When omitted
             the batcher owns a single-thread
-            :class:`~repro.runtime.ThreadTopology` (the classic
+            :class:`~repro.runtime.topology.ThreadTopology` (the classic
             single-process solver thread) and manages its lifecycle;
             when provided (sharded mode) the caller owns it.
         shard: pin every batch to this topology slot and emit

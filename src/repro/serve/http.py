@@ -35,7 +35,7 @@ from typing import Any, Dict, Optional, Tuple, Union
 from urllib.parse import parse_qsl
 
 from .. import obs
-from ..runtime import WorkerCrashed
+from ..runtime.topology import WorkerCrashed
 from .batcher import Overloaded, synth_span
 from .protocol import (
     ProtocolError,

@@ -14,7 +14,7 @@ harness).  A point query flows through the layers cheapest first:
    (:class:`~repro.serve.batcher.CoalescingBatcher`) on the runtime.
 
 With ``workers=N`` (N > 0) the service runs the sharded topology: one
-:class:`repro.runtime.ProcessTopology` of N forked solver workers, one
+:class:`repro.runtime.topology.ProcessTopology` of N forked solver workers, one
 batcher per shard, and every point routed by its spec hash
 (:func:`repro.serve.shard.shard_index`) to the worker that owns its
 chain family's compiled spec and shard-local TTL cache — hot keys stay
@@ -22,8 +22,8 @@ cache-local to one process.  The front-end result cache is disabled in
 this mode (the shard caches own TTL semantics); in-flight coalescing
 still applies.  Workers that crash are restarted by the runtime;
 requests in flight on the dead worker fail with
-:class:`~repro.runtime.WorkerCrashed`, which the HTTP layer answers with
-``503 Retry-After``.
+:class:`~repro.runtime.topology.WorkerCrashed`, which the HTTP layer
+answers with ``503 Retry-After``.
 
 Monte-Carlo points, availability profiles and axis sweeps do not batch
 (their cost profile is different); they run on a single auxiliary worker
@@ -48,7 +48,7 @@ from ..engine.sweep import Axis, SweepEngine
 from ..models.availability import AvailabilityModel
 from ..models.metrics import ReliabilityResult
 from ..models.parameters import Parameters
-from ..runtime import ProcessTopology, ThreadTopology
+from ..runtime.topology import ProcessTopology, ThreadTopology
 from .batcher import CoalescingBatcher, Overloaded
 from .protocol import AdviseQuery, PointQuery, SweepQuery, point_response
 from .shard import shard_index
@@ -229,9 +229,7 @@ class ReliabilityService:
         self._aux_pending = 0
         self._aux_inflight = 0
         self._advise_pending = 0
-        self._engine = SweepEngine(
-            base_params=self.base_params, jobs=1, cache=False
-        )
+        self._engine = SweepEngine(base_params=self.base_params, cache=False)
         self._inflight: Dict[str, "asyncio.Future[Dict[str, Any]]"] = {}
         self._coalesced = self.metrics.counter("serve.inflight.coalesced")
         self._aux_gauge = self.metrics.gauge("serve.aux.pending")

@@ -5,10 +5,10 @@ this module *solves* them.  Keeping the solve pure and picklable is what
 lets one implementation run in three places unchanged:
 
 * on a dedicated solver thread (single-process mode, via
-  :class:`repro.runtime.ThreadTopology`);
+  :class:`repro.runtime.topology.ThreadTopology`);
 * inside a forked shard worker (sharded mode, via
-  :class:`repro.runtime.ProcessTopology`), where the worker owns its
-  shard's :class:`~repro.engine.solver.SolveContext` (compiled chains)
+  :class:`repro.runtime.topology.ProcessTopology`), where the worker owns
+  its shard's :class:`~repro.engine.solver.SolveContext` (compiled chains)
   and an optional shard-local TTL result cache so hot keys stay
   cache-local;
 * inline, for tests.

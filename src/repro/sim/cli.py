@@ -25,7 +25,7 @@ from .. import obs
 from ..cli_common import add_observability_arguments, observed_session
 from ..engine.cache import DiskCache
 from ..engine.keys import point_key
-from ..runtime import default_jobs
+from ..runtime.chunks import default_jobs
 from ..models.configurations import Configuration
 from ..models.internal_raid import InternalRaidNodeModel
 from ..models.parameters import Parameters

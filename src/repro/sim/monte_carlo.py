@@ -17,7 +17,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .. import obs
-from ..runtime import run_chunks, split_chunks
+from ..runtime.chunks import run_chunks, split_chunks
 from ..models.configurations import Configuration
 from ..models.parameters import Parameters
 from ..models.raid import InternalRaid

@@ -12,9 +12,10 @@ machine-checkable invariants:
   closed-form error envelopes, spec-vs-legacy bitwise equivalence);
 * :mod:`~repro.verify.oracles` — metamorphic and cross-method oracles
   triangulating analytic, closed-form and seeded Monte-Carlo estimates;
-* :mod:`~repro.verify.faults` — engine fault injection (corrupt cache
-  entries, killed pool workers, poisoned compiled-spec caches) proving
-  failures degrade to recomputation, never to wrong numbers;
+* :mod:`~repro.verify.faults` — fault injection (corrupt cache
+  entries, poisoned compiled-spec caches, killed Monte-Carlo pool
+  workers) proving failures degrade to recomputation, never to wrong
+  numbers;
 * :mod:`~repro.verify.fleet` — collapse, metamorphic and dominance laws
   for heterogeneous fleets (the ``fleet-*`` invariants), audited on a
   fixed-seed slice of the ``repro-scenarios`` corpus;

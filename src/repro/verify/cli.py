@@ -7,7 +7,8 @@ Installed as ``repro-verify``::
     repro-verify --list              # show registered invariants and exit
     repro-verify --only raid-level-dominance --only mttdl-monotone-nft
     repro-verify --json report.json  # machine-readable violations report
-    repro-verify --set node_set_size=128 --jobs 4
+    repro-verify --set node_set_size=128
+    repro-verify --jobs 4            # fan Monte-Carlo replicas out
     repro-verify --smoke --trace verify.jsonl --report
                                      # per-invariant span trace + timing tree
 
@@ -75,7 +76,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=int,
         default=1,
         metavar="N",
-        help="evaluation / replica fan-out width (default 1)",
+        help="Monte-Carlo replica fan-out width (default 1)",
     )
     parser.add_argument(
         "--max-fault-tolerance",
@@ -135,7 +136,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     base = apply_param_overrides(Parameters.baseline(), args.set, parser.error)
     ctx = make_context(
         base,
-        jobs=args.jobs,
+        mc_jobs=args.jobs,
         mc_replicas=0 if args.smoke else max(0, args.replicas),
         mc_seed=args.seed,
         mc_sigmas=args.sigmas,

@@ -1,23 +1,23 @@
-"""Engine fault injection: prove failures degrade to recomputation.
+"""Fault injection: prove failures degrade to recomputation.
 
-The engine promises that its three accelerators — the on-disk result
-cache, the process pool and the compiled-spec cache — can *never* change
-a result, only its cost.  This module attacks each one and checks the
-promise:
+The sweep engine's two accelerators — the on-disk result cache and the
+compiled-spec cache — and the Monte-Carlo replica pool promise they can
+*never* change a result, only its cost.  This module attacks each one
+and checks the promise:
 
 * every cache entry is corrupted (garbage bytes), truncated, or replaced
   with a schema-mismatched payload between a warm-up sweep and a re-read;
-* pool workers are killed (``os._exit``) the moment they pick up a chunk,
-  via the :data:`~repro.runtime.faultpoints.POOL_WORKER_START` fault point;
 * the solver's compiled-spec cache is poisoned: every entry is replaced
   with a compiled chain whose structure does not match the hash it is
   stored under, which the cache must detect (its per-lookup hash check)
-  and recompile from the spec.
+  and recompile from the spec;
+* Monte-Carlo pool workers are killed (``os._exit``) the moment they
+  pick up a chunk of replicas, via the
+  :data:`~repro.runtime.faultpoints.POOL_WORKER_START` fault point.
 
-After each attack the engine must return results **bitwise identical** to
-a cold, serial, cache-less reference run.  :func:`fault_drill` runs the
-whole battery and is registered as the ``engine-fault-degradation``
-invariant.
+After each attack the results must be **bitwise identical** to a cold,
+serial, cache-less reference run.  :func:`fault_drill` runs the whole
+battery and is registered as the ``engine-fault-degradation`` invariant.
 """
 
 from __future__ import annotations
@@ -36,6 +36,9 @@ from ..engine.sweep import SweepEngine, point_payload_valid
 from ..models.configurations import Configuration
 from ..models.parameters import Parameters
 from ..runtime import faultpoints
+from ..runtime.chunks import MIN_TASKS_FOR_POOL
+from ..sim.monte_carlo import accelerated_parameters, estimate_mttdl
+from .oracles import MC_SYSTEM_OVERRIDES
 from .registry import VerifyContext, Violation, invariant
 
 __all__ = [
@@ -146,12 +149,14 @@ def fault_drill(
     """Run the full fault battery; returns ``(scenarios, violations)``.
 
     The reference is a cold serial cache-less run; every scenario must
-    reproduce it bitwise.
+    reproduce it bitwise.  The killed-worker scenario simulates
+    ``configs[0]`` at the Monte-Carlo oracle's operating point with
+    ``jobs`` workers and compares it with the ``jobs=1`` estimate.
     """
     if params is None:
         params = Parameters.baseline()
     pairs = [(config, params) for config in configs]
-    reference = _mttdls(SweepEngine(params, jobs=1), pairs)
+    reference = _mttdls(SweepEngine(params), pairs)
 
     violations: List[Violation] = []
     checked = 0
@@ -180,7 +185,7 @@ def fault_drill(
             tmp = tempfile.mkdtemp(prefix="repro-verify-cache-")
             try:
                 cache = DiskCache(tmp, validator=point_payload_valid)
-                engine = SweepEngine(params, jobs=1, cache=cache)
+                engine = SweepEngine(params, cache=cache)
                 engine.evaluate_many(pairs)  # warm
                 corrupt_cache_dir(tmp, mode)
                 compare(
@@ -199,15 +204,47 @@ def fault_drill(
             finally:
                 shutil.rmtree(tmp, ignore_errors=True)
 
-    # -- killed pool workers ------------------------------------------- #
+    # -- killed Monte-Carlo pool workers -------------------------------- #
+    config = configs[0]
+    accelerated = accelerated_parameters(
+        params.replace(**MC_SYSTEM_OVERRIDES), 200.0
+    )
+
+    def estimate(width: int) -> Tuple:
+        mc = estimate_mttdl(
+            config,
+            accelerated,
+            replicas=MIN_TASKS_FOR_POOL,  # the fewest that engage the pool
+            seed=0,
+            jobs=width,
+        )
+        return (mc.mean_hours, mc.std_error_hours, mc.loss_causes)
+
+    serial = estimate(1)
     with faultpoints.injected(
         faultpoints.POOL_WORKER_START, kill_worker_action()
     ):
-        observed = _mttdls(SweepEngine(params, jobs=jobs), pairs)
-    compare("killed pool workers", observed, {"jobs": jobs})
+        observed = estimate(jobs)
+    checked += 1
+    if observed != serial:
+        violations.append(
+            Violation(
+                invariant="engine-fault-degradation",
+                message=(
+                    "killed pool workers: Monte-Carlo estimate differs "
+                    "from the serial run"
+                ),
+                config=config.key,
+                details={
+                    "jobs": jobs,
+                    "expected": serial,
+                    "observed": observed,
+                },
+            )
+        )
 
     # -- poisoned compiled-spec cache ---------------------------------- #
-    engine = SweepEngine(params, jobs=1)
+    engine = SweepEngine(params)
     engine.evaluate_many(pairs)  # populate the spec cache
     poisoned = poison_spec_cache(engine._ctx.specs)
     compare(
@@ -238,10 +275,11 @@ def fault_drill(
 
 @invariant(
     "engine-fault-degradation",
-    "Corrupted/truncated/schema-mismatched cache entries, killed pool "
-    "workers and poisoned compiled-spec caches all degrade to correct "
-    "recomputation: results stay bitwise identical to a cold serial run.",
+    "Corrupted/truncated/schema-mismatched cache entries, poisoned "
+    "compiled-spec caches and killed Monte-Carlo pool workers all degrade "
+    "to correct recomputation: results stay bitwise identical to a cold "
+    "serial run.",
     tags=("engine", "faults", "smoke"),
 )
 def check_engine_fault_degradation(ctx: VerifyContext) -> Tuple[int, List[Violation]]:
-    return fault_drill(ctx.configs, ctx.base, jobs=max(2, ctx.engine.jobs))
+    return fault_drill(ctx.configs, ctx.base, jobs=max(2, ctx.mc_jobs))

@@ -67,9 +67,9 @@ def default_lattice(base: Optional[Parameters] = None) -> List[Parameters]:
 def make_context(
     base: Optional[Parameters] = None,
     *,
-    jobs: int = 1,
     cache: bool = False,
     mc_replicas: int = 0,
+    mc_jobs: int = 1,
     mc_seed: int = 0,
     mc_sigmas: float = 5.0,
     mc_acceleration: float = 200.0,
@@ -86,9 +86,10 @@ def make_context(
     return VerifyContext(
         configs=all_configurations(max_fault_tolerance),
         points=default_lattice(base),
-        engine=SweepEngine(base, jobs=jobs, cache=cache),
+        engine=SweepEngine(base, cache=cache),
         base=base,
         mc_replicas=mc_replicas,
+        mc_jobs=mc_jobs,
         mc_seed=mc_seed,
         mc_sigmas=mc_sigmas,
         mc_acceleration=mc_acceleration,

@@ -187,7 +187,7 @@ def cross_method_check(
     if params is None:
         params = Parameters.baseline()
     if engine is None:
-        engine = SweepEngine(params, jobs=jobs)
+        engine = SweepEngine(params)
     tol = (
         closed_form_rel_tol
         if closed_form_rel_tol is not None
@@ -349,7 +349,7 @@ def check_cross_method_agreement(ctx: VerifyContext) -> Tuple[int, List[Violatio
                 seed=ctx.mc_seed,
                 sigmas=ctx.mc_sigmas,
                 acceleration=ctx.mc_acceleration,
-                jobs=ctx.engine.jobs,
+                jobs=ctx.mc_jobs,
             )
             violations.extend(
                 v for v in report.violations if "simulation" in v.message

@@ -160,6 +160,8 @@ class VerifyContext:
             violation points by their differing fields.
         mc_replicas: Monte-Carlo replicas for the simulation oracle;
             0 disables it (the fast "smoke" mode).
+        mc_jobs: Monte-Carlo replica fan-out width (the simulation
+            oracle and the fault drill's killed-worker scenario).
         mc_seed: master seed for every Monte-Carlo draw — runs are
             reproducible by construction.
         mc_sigmas: agreement band, in standard errors, for the
@@ -176,6 +178,7 @@ class VerifyContext:
         *,
         base: Optional[Parameters] = None,
         mc_replicas: int = 0,
+        mc_jobs: int = 1,
         mc_seed: int = 0,
         mc_sigmas: float = 5.0,
         mc_acceleration: float = 200.0,
@@ -187,8 +190,9 @@ class VerifyContext:
         self.points: Tuple[Parameters, ...] = tuple(
             points if points is not None else (self.base,)
         )
-        self.engine = engine if engine is not None else SweepEngine(jobs=1)
+        self.engine = engine if engine is not None else SweepEngine()
         self.mc_replicas = int(mc_replicas)
+        self.mc_jobs = int(mc_jobs)
         self.mc_seed = int(mc_seed)
         self.mc_sigmas = float(mc_sigmas)
         self.mc_acceleration = float(mc_acceleration)

@@ -27,7 +27,7 @@ def _assert_same_figure(plain, fast):
 class TestFigureParity:
     def test_figure17_bitwise(self, baseline):
         plain = figure17_link_speed(baseline)
-        fast = figure17_link_speed(baseline, engine=SweepEngine(baseline, jobs=4))
+        fast = figure17_link_speed(baseline, engine=SweepEngine(baseline))
         _assert_same_figure(plain, fast)
         assert plain.provenance is None
         assert fast.provenance is not None
@@ -35,7 +35,7 @@ class TestFigureParity:
     def test_figure20_bitwise(self, baseline):
         plain = figure20_drives_per_node(baseline)
         fast = figure20_drives_per_node(
-            baseline, engine=SweepEngine(baseline, jobs=4)
+            baseline, engine=SweepEngine(baseline)
         )
         _assert_same_figure(plain, fast)
 
@@ -49,7 +49,7 @@ class TestSweepParity:
         xs = (100_000.0, 400_000.0)
         transform = lambda p, x: p.replace(node_mttf_hours=x)
         plain = sweep(configs, baseline, xs, transform)
-        fast = sweep(configs, baseline, xs, transform, engine=SweepEngine(jobs=4))
+        fast = sweep(configs, baseline, xs, transform, engine=SweepEngine())
         assert plain == fast
 
     def test_sweep_to_figure_is_sweep_result(self, baseline):
@@ -70,7 +70,7 @@ class TestSweepParity:
 class TestDesignSpaceParity:
     def test_bitwise(self, baseline):
         plain = enumerate_designs(baseline)
-        fast = enumerate_designs(baseline, engine=SweepEngine(baseline, jobs=4))
+        fast = enumerate_designs(baseline, engine=SweepEngine(baseline))
         assert plain == fast
 
 
@@ -86,7 +86,13 @@ class TestElasticityParity:
 
 class TestCliFlags:
     def test_jobs_and_no_cache(self, capsys):
-        rc = main(["17", "--jobs", "2", "--no-cache"])
+        """--jobs is gone (the engine evaluates in-process): argparse
+        rejects it with status 2, while --no-cache still runs."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["17", "--jobs", "2"])
+        assert excinfo.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        rc = main(["17", "--no-cache"])
         assert rc == 0
         assert "Figure 17" in capsys.readouterr().out
 
@@ -103,9 +109,10 @@ class TestCliFlags:
         assert main(["17"]) == 0
         assert capsys.readouterr().out == first
 
-    def test_output_matches_pre_engine_flags(self, capsys):
-        """--jobs/--no-cache must not change the rendered tables."""
+    def test_output_matches_pre_engine_flags(self, capsys, tmp_path, monkeypatch):
+        """--no-cache must not change the rendered tables."""
+        monkeypatch.chdir(tmp_path)
         assert main(["17", "--no-cache"]) == 0
         plain = capsys.readouterr().out
-        assert main(["17", "--no-cache", "--jobs", "3"]) == 0
+        assert main(["17"]) == 0
         assert capsys.readouterr().out == plain

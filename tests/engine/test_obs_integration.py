@@ -5,9 +5,7 @@ The hard guarantees under test:
 
 * tracing never changes a result bit (the engine's core promise extends
   to instrumented runs);
-* a pooled run and a serial run grow *equivalent* span trees — the same
-  set of root-to-leaf name paths — because workers ship their spans home
-  and the parent re-parents them under its dispatch span;
+* a sweep grows one span tree: batch, dispatch, then the solve layers;
 * the legacy counter attributes (``DiskCache.hits``,
   ``CompiledSpecCache.misses``, ...) read through to the obs registries.
 """
@@ -17,12 +15,11 @@ import pytest
 import repro
 from repro import obs
 from repro.engine.sweep import SweepEngine
-from repro.runtime import should_pool
 from repro.obs.tracer import Tracer
 
 
 def sweep_pairs(n_points=3):
-    """9 configurations x n parameter points (enough to engage the pool)."""
+    """9 configurations x n parameter points."""
     base = repro.Parameters.baseline()
     points = [
         base.replace(drive_mttf_hours=mttf)
@@ -31,8 +28,8 @@ def sweep_pairs(n_points=3):
     return [(c, p) for p in points for c in repro.ALL_CONFIGURATIONS]
 
 
-def run_engine(jobs, traced):
-    engine = SweepEngine(jobs=jobs)
+def run_engine(traced):
+    engine = SweepEngine()
     pairs = sweep_pairs()
     if not traced:
         return engine.evaluate_many(pairs), []
@@ -58,80 +55,24 @@ def name_paths(spans):
 
 class TestBitwiseSafety:
     def test_tracing_does_not_change_results(self):
-        plain, _ = run_engine(jobs=1, traced=False)
-        traced, spans = run_engine(jobs=1, traced=True)
+        plain, _ = run_engine(traced=False)
+        traced, spans = run_engine(traced=True)
         assert [r.mttdl_hours for r in plain] == [
             r.mttdl_hours for r in traced
         ]
         assert spans  # and the traced run actually recorded something
 
-    def test_pooled_tracing_does_not_change_results(self):
-        plain, _ = run_engine(jobs=4, traced=False)
-        traced, _ = run_engine(jobs=4, traced=True)
-        assert [r.mttdl_hours for r in plain] == [
-            r.mttdl_hours for r in traced
-        ]
-
 
 class TestSpanTrees:
     def test_serial_tree_shape(self):
-        _, spans = run_engine(jobs=1, traced=True)
+        _, spans = run_engine(traced=True)
         paths = name_paths(spans)
         assert "engine.evaluate_many" in paths
-        assert "engine.evaluate_many/engine.dispatch/engine.worker" in paths
-        assert (
-            "engine.evaluate_many/engine.dispatch/engine.worker/solve.prepare"
-            in paths
-        )
+        assert "engine.evaluate_many/engine.dispatch" in paths
+        assert "engine.evaluate_many/engine.dispatch/solve.prepare" in paths
+        assert not any("engine.worker" in p for p in paths)
         assert any(p.endswith("solve.bind") for p in paths)
         assert any(p.endswith("solve.gth") for p in paths)
-
-    def test_pooled_and_serial_trees_equivalent(self):
-        """jobs=1 and jobs=4 record the same name-path set: shipped worker
-        spans re-parent under the dispatch span, so the tree shape does
-        not depend on where the work ran."""
-        _, serial = run_engine(jobs=1, traced=True)
-        _, pooled = run_engine(jobs=4, traced=True)
-        assert name_paths(serial) == name_paths(pooled)
-
-    def test_pooled_spans_reparented_under_dispatch(self):
-        if not should_pool(4, len(sweep_pairs())):
-            pytest.skip("host cannot pool (single CPU)")
-        _, spans = run_engine(jobs=4, traced=True)
-        by_id = {s["span_id"]: s for s in spans}
-        workers = [s for s in spans if s["name"] == "engine.worker"]
-        assert len(workers) > 1  # one per chunk
-        parents = {by_id[w["parent_id"]]["name"] for w in workers}
-        assert parents == {"engine.dispatch"}
-        # worker spans were produced in other processes
-        parent_pid = by_id[workers[0]["parent_id"]]["pid"]
-        assert {w["pid"] for w in workers} != {parent_pid}
-
-    def test_forced_pool_ships_worker_spans(self, monkeypatch):
-        """Even on a single-CPU host: force the pool on and check that
-        worker spans cross the process boundary and re-parent correctly,
-        with results bitwise equal to the serial run."""
-        import repro.engine.sweep as sweep_mod
-        import repro.runtime.chunks as chunks_mod
-
-        forced = lambda jobs, total: jobs > 1 and total >= 8  # noqa: E731
-        monkeypatch.setattr(chunks_mod, "should_pool", forced)
-        monkeypatch.setattr(sweep_mod, "should_pool", forced)
-
-        serial, serial_spans = run_engine(jobs=1, traced=True)
-        pooled, spans = run_engine(jobs=4, traced=True)
-        assert [r.mttdl_hours for r in serial] == [
-            r.mttdl_hours for r in pooled
-        ]
-        assert name_paths(serial_spans) == name_paths(spans)
-        by_id = {s["span_id"]: s for s in spans}
-        workers = [s for s in spans if s["name"] == "engine.worker"]
-        assert len(workers) > 1
-        assert {by_id[w["parent_id"]]["name"] for w in workers} == {
-            "engine.dispatch"
-        }
-        parent_pid = by_id[workers[0]["parent_id"]]["pid"]
-        assert {w["pid"] for w in workers} != {parent_pid}
 
     def test_cache_spans_present_when_cache_enabled(self, tmp_path):
         engine = SweepEngine(jobs=1, cache=str(tmp_path / "cache"))
@@ -178,21 +119,6 @@ class TestCounterReadThrough:
         engine.evaluate_many(pairs)
         flat = engine.metrics_snapshot().to_dict()
         assert flat["engine.disk_cache.hits"] == len(pairs)
-
-    def test_pool_counters_folded(self):
-        if not should_pool(4, len(sweep_pairs())):
-            pytest.skip("host cannot pool (single CPU)")
-        engine = SweepEngine(jobs=4)
-        engine.evaluate_many(sweep_pairs())
-        flat = engine.metrics_snapshot().to_dict()
-        assert (
-            flat["engine.pool.spec_misses"] + flat["engine.pool.spec_hits"]
-            > 0
-        )
-        prov = engine.provenance()
-        assert prov.spec_misses == (
-            flat["engine.pool.spec_misses"] + flat["core.spec_cache.misses"]
-        )
 
 
 class TestVerboseRemoved:

@@ -42,7 +42,6 @@ class TestSweepResult:
 class TestEngineProvenance:
     def test_defaults(self):
         prov = EngineProvenance()
-        assert prov.jobs == 1
         assert not prov.cache_enabled
         assert "disk cache off" in prov.describe()
 

@@ -1,6 +1,5 @@
-"""SweepEngine: pool-vs-serial equality, disk caching, sweeps and grids."""
-
-import os
+"""SweepEngine: bitwise equality with the point loop, the in-process-only
+``jobs`` knob, disk caching, sweeps and grids."""
 
 import pytest
 
@@ -19,17 +18,6 @@ def _grid_pairs(baseline, n_x=6):
 
 
 class TestPoolVsSerial:
-    def test_bitwise_identical(self, baseline):
-        """The acceptance criterion: pooled evaluation returns exactly the
-        serial floats for every point."""
-        pairs = _grid_pairs(baseline)
-        serial = SweepEngine(jobs=1).evaluate_many(pairs)
-        pooled = SweepEngine(jobs=4).evaluate_many(pairs)
-        assert [r.mttdl_hours for r in pooled] == [r.mttdl_hours for r in serial]
-        assert [r.events_per_pb_year for r in pooled] == [
-            r.events_per_pb_year for r in serial
-        ]
-
     def test_serial_matches_pre_engine_loop(self, baseline):
         pairs = _grid_pairs(baseline, n_x=2)
         engine = SweepEngine(jobs=1)
@@ -39,30 +27,32 @@ class TestPoolVsSerial:
 
     def test_closed_form_matches_pre_engine_loop(self, baseline):
         pairs = _grid_pairs(baseline, n_x=2)
-        got = SweepEngine(jobs=4).evaluate_many(pairs, method="closed_form")
+        got = SweepEngine().evaluate_many(pairs, method="closed_form")
         expected = [c.reliability(p, "approx") for c, p in pairs]
         assert [r.mttdl_hours for r in got] == [r.mttdl_hours for r in expected]
-
-    def test_forced_pool_bitwise_identical(self, baseline, monkeypatch):
-        """Engage the real process pool even on a single-CPU host (where
-        the gate would otherwise decline it) and check both the floats and
-        the worker counters coming back."""
-        pairs = _grid_pairs(baseline)
-        serial = SweepEngine(jobs=1).evaluate_many(pairs)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        pooled_engine = SweepEngine(jobs=4)
-        pooled = pooled_engine.evaluate_many(pairs)
-        assert [r.mttdl_hours for r in pooled] == [r.mttdl_hours for r in serial]
-        # Worker spec counters are folded into the engine's provenance.
-        prov = pooled_engine.provenance()
-        assert prov.spec_misses > 0
-        assert prov.spec_hashes  # workers report the shapes they compiled
 
     def test_monte_carlo_rejected(self, baseline):
         with pytest.raises(ValueError, match="monte_carlo"):
             SweepEngine().evaluate_many(
                 [(ALL_CONFIGURATIONS[0], baseline)], method="monte_carlo"
             )
+
+
+class TestJobs:
+    @pytest.mark.parametrize("jobs", [4, 0])
+    def test_pool_widths_rejected(self, jobs):
+        """The engine always evaluates in-process; asking for a pool is an
+        error that points Monte-Carlo users at the pool that remains."""
+        with pytest.raises(ValueError, match="in-process") as excinfo:
+            SweepEngine(jobs=jobs)
+        assert "estimate_mttdl" in str(excinfo.value)
+
+    def test_one_job_accepted(self, baseline):
+        pairs = [(c, baseline) for c in ALL_CONFIGURATIONS]
+        got = SweepEngine(jobs=1).evaluate_many(pairs)
+        assert [r.mttdl_hours for r in got] == [
+            r.mttdl_hours for r in SweepEngine().evaluate_many(pairs)
+        ]
 
 
 class TestDiskCacheIntegration:
@@ -130,7 +120,6 @@ class TestSweepAndGrid:
         assert all(len(s.values) == 2 for s in result.series)
         assert len(result.points) == 6
         assert result.provenance is not None
-        assert result.provenance.jobs == 1
 
     def test_sweep_matches_direct_evaluation(self, baseline):
         engine = SweepEngine(jobs=1)
@@ -186,7 +175,6 @@ class TestProvenance:
         engine.evaluate_many([(c, baseline) for c in ALL_CONFIGURATIONS])
         prov = engine.provenance()
         assert prov.spec_misses > 0
-        assert prov.jobs == 1
         assert not prov.cache_enabled
         assert "compiled specs" in prov.describe()
         # The provenance names the exact chain structures it solved.

@@ -2,7 +2,9 @@
 
 import os
 
-from repro.runtime import (
+from repro import obs
+from repro.obs.tracer import Tracer
+from repro.runtime.chunks import (
     MIN_TASKS_FOR_POOL,
     default_jobs,
     run_chunks,
@@ -13,6 +15,11 @@ from repro.runtime import (
 
 def _double_chunk(chunk):
     return [2 * x for x in chunk]
+
+
+def _traced_chunk(chunk):
+    with obs.span("runtime.test.chunk", items=len(chunk)):
+        return _double_chunk(chunk)
 
 
 class TestSplitChunks:
@@ -88,3 +95,21 @@ class TestRunChunks:
         with faultpoints.injected(faultpoints.POOL_WORKER_START, die):
             recovered = run_chunks(_double_chunk, chunks, jobs=4)
         assert recovered == serial
+
+    def test_pooled_spans_ship_under_caller(self, monkeypatch):
+        """Worker spans cross the process boundary and re-parent under
+        the span open at dispatch, one per chunk, with the serial
+        answer."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        chunks = split_chunks(list(range(16)), 4)
+        tracer = Tracer()
+        with obs.use_tracer(tracer):
+            with obs.span("runtime.test.dispatch"):
+                pooled = run_chunks(_traced_chunk, chunks, jobs=4)
+        assert pooled == run_chunks(_double_chunk, chunks, jobs=1)
+        spans = tracer.finished()
+        dispatch = next(s for s in spans if s["name"] == "runtime.test.dispatch")
+        workers = [s for s in spans if s["name"] == "runtime.test.chunk"]
+        assert len(workers) == len(chunks)
+        assert {w["parent_id"] for w in workers} == {dispatch["span_id"]}
+        assert dispatch["pid"] not in {w["pid"] for w in workers}

@@ -15,12 +15,7 @@ import pytest
 
 from repro import obs
 from repro.obs.tracer import Tracer
-from repro.runtime import (
-    InlineTopology,
-    ProcessTopology,
-    ThreadTopology,
-    WorkerCrashed,
-)
+from repro.runtime.topology import ProcessTopology, ThreadTopology, WorkerCrashed
 
 
 def _echo(state, payload):
@@ -55,8 +50,8 @@ def _state_index(index):
 
 
 TOPOLOGIES = [
-    lambda handler, **kw: InlineTopology(handler, **kw),
     lambda handler, **kw: ThreadTopology(handler, size=1, **kw),
+    lambda handler, **kw: ProcessTopology(handler, size=1, **kw),
 ]
 
 

@@ -25,6 +25,12 @@ class TestExitCodes:
     def test_single_fast_invariant(self):
         assert main(["--smoke"] + FAST) == 0
 
+    def test_smoke_with_jobs(self, capsys):
+        """--jobs now sets only the Monte-Carlo fan-out (the fault drill's
+        killed-worker scenario under --smoke); the battery stays clean."""
+        assert main(["--smoke", "--jobs", "2"]) == 0
+        assert "all invariants held" in capsys.readouterr().out
+
 
 class TestSelection:
     def test_list_names_every_invariant(self, capsys):

@@ -1,8 +1,11 @@
-"""Engine fault injection: damage must degrade to recomputation.
+"""Fault injection: damage must degrade to recomputation.
 
-The acceptance bar: corrupted cache entries and killed pool workers must
-yield results **bitwise identical** to a cold serial run.
+The acceptance bar: corrupted cache entries, poisoned compiled-spec
+caches and killed Monte-Carlo pool workers must yield results **bitwise
+identical** to a cold serial run.
 """
+
+import os
 
 import pytest
 
@@ -10,6 +13,7 @@ from repro.engine import DiskCache, SweepEngine, point_payload_valid
 from repro.models import Parameters
 from repro.models.configurations import ALL_CONFIGURATIONS, all_configurations
 from repro.runtime import faultpoints
+from repro.sim import accelerated_parameters, estimate_mttdl
 from repro.verify import (
     corrupt_cache_dir,
     fault_drill,
@@ -17,6 +21,7 @@ from repro.verify import (
     poison_spec_cache,
 )
 from repro.verify.faults import CACHE_CORRUPTION_MODES
+from repro.verify.oracles import MC_SYSTEM_OVERRIDES
 
 pytestmark = pytest.mark.verify
 
@@ -34,7 +39,7 @@ def pairs():
 @pytest.fixture(scope="module")
 def reference(pairs):
     """The cold, serial, cache-less truth."""
-    return _mttdls(SweepEngine(pairs[0][1], jobs=1), pairs)
+    return _mttdls(SweepEngine(pairs[0][1]), pairs)
 
 
 class TestFaultpoints:
@@ -72,7 +77,7 @@ class TestCacheCorruption:
         """Warm a disk cache, vandalise every entry, re-read: identical
         numbers, damage counted, entries overwritten with good values."""
         cache = DiskCache(tmp_path, validator=point_payload_valid)
-        engine = SweepEngine(pairs[0][1], jobs=1, cache=cache)
+        engine = SweepEngine(pairs[0][1], cache=cache)
         assert _mttdls(engine, pairs) == reference  # warm
         damaged = corrupt_cache_dir(tmp_path, mode)
         assert damaged == len(pairs)
@@ -88,23 +93,38 @@ class TestCacheCorruption:
             corrupt_cache_dir(tmp_path, "arson")
 
 
+def _estimate(jobs):
+    """The Monte-Carlo oracle's operating point, summarised bitwise."""
+    params = accelerated_parameters(
+        Parameters.baseline().replace(**MC_SYSTEM_OVERRIDES), 200.0
+    )
+    mc = estimate_mttdl(ALL_CONFIGURATIONS[0], params, replicas=8, seed=0, jobs=jobs)
+    return (mc.mean_hours, mc.std_error_hours, mc.loss_causes)
+
+
 class TestKilledWorkers:
-    def test_pool_falls_back_to_in_process(self, pairs, reference):
-        """Killing every worker at startup must not change a digit: the
-        engine recomputes in-process after the pool breaks."""
+    @pytest.fixture
+    def forced_pool(self, monkeypatch):
+        """Engage the real pool even on a single-CPU host."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+
+    def test_pool_falls_back_to_in_process(self, forced_pool):
+        """Killing every replica worker at startup must not change a
+        digit: the crashed chunks are recomputed in-process."""
+        serial = _estimate(jobs=1)
         with faultpoints.injected(
             faultpoints.POOL_WORKER_START, kill_worker_action()
         ):
-            observed = _mttdls(SweepEngine(pairs[0][1], jobs=4), pairs)
-        assert observed == reference
+            observed = _estimate(jobs=2)
+        assert observed == serial
 
-    def test_pool_unaffected_without_injection(self, pairs, reference):
-        assert _mttdls(SweepEngine(pairs[0][1], jobs=4), pairs) == reference
+    def test_pool_unaffected_without_injection(self, forced_pool):
+        assert _estimate(jobs=2) == _estimate(jobs=1)
 
 
 class TestPoisonedSpecCache:
     def test_poisoned_entries_are_recompiled(self, pairs, reference):
-        engine = SweepEngine(pairs[0][1], jobs=1)
+        engine = SweepEngine(pairs[0][1])
         assert _mttdls(engine, pairs) == reference
         poisoned = poison_spec_cache(engine._ctx.specs)
         assert poisoned > 0
