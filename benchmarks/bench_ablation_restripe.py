@@ -10,7 +10,7 @@ in system-level reliability at the baseline.
 """
 
 import pytest
-from _bench_utils import emit_text
+from _bench_utils import archive, show
 
 from repro.analysis import format_table
 from repro.models import (
@@ -83,10 +83,9 @@ def test_ablation_restripe_vs_spare(benchmark, baseline_params):
             f"{events_per_pb_year(mttdl_spare, baseline_params):.3e}",
         ],
     ]
-    emit_text(
+    text = show(
         "Ablation: internal-RAID repair strategy (FT 2, internal RAID 5)\n"
-        + format_table(rows),
-        "ablation_restripe.txt",
+        + format_table(rows)
     )
 
     # A single spare drive rebuild moves ~d x less data than a re-stripe,
@@ -94,3 +93,4 @@ def test_ablation_restripe_vs_spare(benchmark, baseline_params):
     # system reliability is dominated by node failures either way —
     # quantitative support for the paper's fail-in-place choice.
     assert 0.2 < mttdl_restripe / mttdl_spare < 5.0
+    archive(text, "ablation_restripe.txt")

@@ -23,7 +23,7 @@ The speedup and the engine's spec-cache hit rate are archived in
 
 import time
 
-from _bench_utils import emit_text
+from _bench_utils import archive, show
 
 from repro.advise import AdviseRequest, advise, dominates
 from repro.analysis import format_table
@@ -128,9 +128,10 @@ def test_advise_speedup_report():
         f"({prov.spec_hits} hits / {prov.spec_misses} misses)",
         f"speedup: {speedup:.2f}x",
     ]
-    emit_text("\n".join(lines), "advise.txt")
+    text = show("\n".join(lines))
 
     assert hit_rate > 0.5, hit_rate
     assert speedup >= 1.5, (
         f"memoized search only {speedup:.2f}x faster than cold solves"
     )
+    archive(text, "advise.txt")

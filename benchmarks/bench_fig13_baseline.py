@@ -4,7 +4,7 @@ Regenerates the bar chart as a table (events/PB-year per configuration at
 the Section 6 baseline) and asserts the paper's three observations.
 """
 
-from _bench_utils import emit
+from _bench_utils import archive, show
 
 from repro.analysis import baseline_figure, run_baseline
 from repro.models import PAPER_TARGET_EVENTS_PER_PB_YEAR
@@ -13,7 +13,7 @@ from repro.models import PAPER_TARGET_EVENTS_PER_PB_YEAR
 def test_fig13_baseline(benchmark, baseline_params):
     report = benchmark(run_baseline, baseline_params)
     figure = baseline_figure(report)
-    emit(figure, "fig13_baseline.txt")
+    text = show(figure)
 
     # Observation 1: NFT 1 misses the target everywhere.
     assert report.ft1_all_miss_target()
@@ -28,3 +28,4 @@ def test_fig13_baseline(benchmark, baseline_params):
     # FT2 no-RAID is marginal (within 3x of the line either way).
     rate = report.result_for("ft2_noraid").events_per_pb_year
     assert PAPER_TARGET_EVENTS_PER_PB_YEAR / 3 < rate < 3 * PAPER_TARGET_EVENTS_PER_PB_YEAR
+    archive(text, "fig13_baseline.txt")

@@ -1,7 +1,7 @@
 """Figure 14: sensitivity to drive MTTF (100k-750k h) at node MTTF
 low/high, for the three surviving configurations."""
 
-from _bench_utils import emit
+from _bench_utils import archive, show
 
 from repro.analysis import figure14_drive_mttf
 from repro.models import PAPER_TARGET_EVENTS_PER_PB_YEAR
@@ -11,7 +11,7 @@ TARGET = PAPER_TARGET_EVENTS_PER_PB_YEAR
 
 def test_fig14_drive_mttf(benchmark, baseline_params):
     figure = benchmark(figure14_drive_mttf, baseline_params)
-    emit(figure, "fig14_drive_mttf.txt")
+    text = show(figure)
 
     # FT2 no-RAID misses the target across the range at low node MTTF...
     low = figure.series_by_label("FT 2, No Internal RAID (node MTTF low)")
@@ -30,3 +30,4 @@ def test_fig14_drive_mttf(benchmark, baseline_params):
         "FT 3, No Internal RAID (node MTTF low)",
     ):
         assert all(v < TARGET for v in figure.series_by_label(label).values)
+    archive(text, "fig14_drive_mttf.txt")

@@ -1,6 +1,6 @@
 """Figure 15: sensitivity to node MTTF (100k-1M h) at drive MTTF low/high."""
 
-from _bench_utils import emit
+from _bench_utils import archive, show
 
 from repro.analysis import figure15_node_mttf
 from repro.models import PAPER_TARGET_EVENTS_PER_PB_YEAR
@@ -10,7 +10,7 @@ TARGET = PAPER_TARGET_EVENTS_PER_PB_YEAR
 
 def test_fig15_node_mttf(benchmark, baseline_params):
     figure = benchmark(figure15_node_mttf, baseline_params)
-    emit(figure, "fig15_node_mttf.txt")
+    text = show(figure)
 
     # FT2 + internal RAID 5 shows the most sensitivity to node MTTF.
     spreads = {
@@ -28,3 +28,4 @@ def test_fig15_node_mttf(benchmark, baseline_params):
     # Reliability improves monotonically with node MTTF.
     for series in figure.series:
         assert all(a >= b for a, b in zip(series.values, series.values[1:]))
+    archive(text, "fig15_node_mttf.txt")

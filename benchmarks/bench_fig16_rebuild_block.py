@@ -1,7 +1,7 @@
 """Figure 16: sensitivity to rebuild block size (16-512 KB) — the paper's
 most powerful controllable knob."""
 
-from _bench_utils import emit
+from _bench_utils import archive, show
 
 from repro.analysis import figure16_rebuild_block_size
 from repro.models import PAPER_TARGET_EVENTS_PER_PB_YEAR
@@ -11,7 +11,7 @@ TARGET = PAPER_TARGET_EVENTS_PER_PB_YEAR
 
 def test_fig16_rebuild_block_size(benchmark, baseline_params):
     figure = benchmark(figure16_rebuild_block_size, baseline_params)
-    emit(figure, "fig16_rebuild_block.txt")
+    text = show(figure)
 
     # Significant leverage: >1 order for all, >2 orders where two rebuild
     # rates compound.
@@ -29,3 +29,4 @@ def test_fig16_rebuild_block_size(benchmark, baseline_params):
     # FT2 no-RAID never meets the target at low MTTF, any block size.
     low = figure.series_by_label("FT 2, No Internal RAID (low MTTF)")
     assert all(v > TARGET for v in low.values)
+    archive(text, "fig16_rebuild_block.txt")

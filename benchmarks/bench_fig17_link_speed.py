@@ -1,7 +1,7 @@
 """Figure 17: sensitivity to link speed (1 / 5 / 10 Gb/s)."""
 
 import pytest
-from _bench_utils import emit
+from _bench_utils import archive, show
 
 from repro.analysis import figure17_link_speed
 from repro.models import RebuildModel
@@ -9,7 +9,7 @@ from repro.models import RebuildModel
 
 def test_fig17_link_speed(benchmark, baseline_params):
     figure = benchmark(figure17_link_speed, baseline_params)
-    emit(figure, "fig17_link_speed.txt")
+    text = show(figure)
 
     i1 = figure.x_values.index(1.0)
     i5 = figure.x_values.index(5.0)
@@ -24,3 +24,4 @@ def test_fig17_link_speed(benchmark, baseline_params):
     # transport constants).
     crossover = RebuildModel(baseline_params).network_bound_below_gbps(2)
     assert 2.0 < crossover < 3.5
+    archive(text, "fig17_link_speed.txt")

@@ -23,7 +23,7 @@ import gc
 import os
 import time
 
-from _bench_utils import emit_text
+from _bench_utils import archive, show
 
 from repro import obs
 from repro.analysis import baseline_figure, run_baseline
@@ -141,12 +141,13 @@ def test_tracing_overhead_under_budget(baseline_params):
         "",
         obs.render_report(spans),
     ]
-    emit_text("\n".join(lines), "obs_overhead.txt")
+    text = show("\n".join(lines))
 
     assert overhead < MAX_OVERHEAD, (
         f"enabled tracing costs {100.0 * overhead:.2f}% "
         f"(budget {100.0 * MAX_OVERHEAD:.0f}%)"
     )
+    archive(text, "obs_overhead.txt")
 
 
 # --------------------------------------------------------------------- #
@@ -331,9 +332,10 @@ def test_live_telemetry_overhead_under_budget(baseline_params, tmp_path):
         "",
         "answers bitwise-identical with telemetry on vs off",
     ]
-    emit_text("\n".join(lines), "obs_overhead_serve.txt")
+    text = show("\n".join(lines))
 
     assert overhead < MAX_OVERHEAD, (
         f"live serving telemetry costs {100.0 * overhead:.2f}% "
         f"(budget {100.0 * MAX_OVERHEAD:.0f}%)"
     )
+    archive(text, "obs_overhead_serve.txt")

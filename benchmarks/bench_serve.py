@@ -20,7 +20,7 @@ against a direct ``repro.evaluate()`` call.  Results are archived in
 import asyncio
 import time
 
-from _bench_utils import emit_text
+from _bench_utils import archive, show
 
 import repro
 from repro.analysis import format_table
@@ -145,17 +145,17 @@ def test_serve_batching_speedup_report(baseline_params):
             f"{speedup:.2f}x",
         ],
     ]
-    emit_text(
+    text = show(
         f"repro.serve throughput: {POINTS} unique analytic points over the "
         f"nine configurations\n(closed loop, best of {TRIALS}; result cache "
         "disabled so every request solves)\n"
         + format_table(rows)
         + "\nanswers bitwise-identical across arms and vs direct "
-        "repro.evaluate()",
-        "serve.txt",
+        "repro.evaluate()"
     )
 
     assert speedup >= REQUIRED_SPEEDUP, (
         f"coalescing gained only {speedup:.2f}x over one-solve-per-request "
         f"(bar: {REQUIRED_SPEEDUP}x)"
     )
+    archive(text, "serve.txt")

@@ -37,7 +37,7 @@ import functools
 import random
 import time
 
-from _bench_utils import emit_text
+from _bench_utils import archive, show
 
 import repro
 from repro.analysis import format_table
@@ -248,7 +248,7 @@ def test_serve_sharded_speedup_report(baseline_params):
             f"{speedup_sharded:.2f}x",
         ],
     ]
-    emit_text(
+    text = show(
         f"repro.serve sharded topology: {POINTS} hot-key (Zipf {ZIPF_SKEW}) "
         f"analytic points over {9 * VALUE_COUNT} keys\n(closed loop, best of "
         f"{TRIALS}; sharded arm declares a {DEADLINE_MS:g}ms deadline "
@@ -257,8 +257,7 @@ def test_serve_sharded_speedup_report(baseline_params):
         + f"\nsharded p50 {p50_ms:.2f}ms / p99 {p99_ms:.2f}ms; answers "
         "bitwise-identical across all arms and vs direct repro.evaluate()\n"
         "single-CPU hosts measure batching + shard-cache locality only; "
-        "multi-core hosts add parallel solve capacity on top",
-        "serve_sharded.txt",
+        "multi-core hosts add parallel solve capacity on top"
     )
 
     assert p99_ms <= DEADLINE_MS, (
@@ -269,3 +268,4 @@ def test_serve_sharded_speedup_report(baseline_params):
         f"sharded topology gained only {speedup_sharded:.2f}x over the "
         f"one-solve-per-request baseline (bar: {REQUIRED_SPEEDUP}x)"
     )
+    archive(text, "serve_sharded.txt")

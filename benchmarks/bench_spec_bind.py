@@ -21,7 +21,7 @@ bind arm, and archives the wall times in
 import time
 
 import numpy as np
-from _bench_utils import emit_text
+from _bench_utils import archive, show
 
 from repro.analysis import format_table
 from repro.models.no_raid import legacy_build_no_raid_chain_ft3
@@ -95,12 +95,11 @@ def test_spec_bind_speedup_report():
         ["compiled bind per point", f"{bind_time * 1e3:8.2f} ms", f"{bind_speedup:.2f}x"],
         ["compiled bind_batch", f"{batch_time * 1e3:8.2f} ms", f"{batch_speedup:.2f}x"],
     ]
-    emit_text(
+    text = show(
         f"no-RAID ft3 chain ({compiled.num_states} states), "
         f"{POINTS}-point drive-MTTF sweep: rebuild vs bind\n"
         + format_table(rows)
-        + "\ngenerator matrices bitwise identical across all arms",
-        "spec_bind.txt",
+        + "\ngenerator matrices bitwise identical across all arms"
     )
     assert batch_speedup >= 2.0, (
         f"bind_batch speedup {batch_speedup:.2f}x < 2x over legacy rebuild"
@@ -108,3 +107,4 @@ def test_spec_bind_speedup_report():
     assert bind_speedup >= 1.5, (
         f"compiled bind speedup {bind_speedup:.2f}x < 1.5x over legacy rebuild"
     )
+    archive(text, "spec_bind.txt")

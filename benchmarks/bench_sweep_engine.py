@@ -11,7 +11,7 @@ a warm-disk-cache arm), asserts the bar, and archives the wall times in
 import time
 
 import pytest
-from _bench_utils import emit_text
+from _bench_utils import archive, show
 
 from repro import Parameters, SweepEngine
 from repro.analysis import format_table
@@ -73,15 +73,15 @@ def test_engine_speedup_report(baseline_params, tmp_path):
             f"{serial_time / cached_time:.2f}x",
         ],
     ]
-    emit_text(
+    text = show(
         "Figure 14-20 sensitivity sweep (168 points), serial vs sweep engine\n"
         + format_table(rows)
         + "\nengine counters: "
         + provenance.provenance().describe()
-        + "\noutputs bitwise identical across all arms",
-        "sweep_engine.txt",
+        + "\noutputs bitwise identical across all arms"
     )
     assert speedup >= 2.0, f"engine speedup {speedup:.2f}x < 2x"
+    archive(text, "sweep_engine.txt")
 
 
 @pytest.mark.parametrize("arm", ["serial", "engine"])

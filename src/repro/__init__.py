@@ -47,7 +47,6 @@ __version__ = "1.0.0"
 # The engine imports repro.__version__ for cache keys, so it must come
 # after the __version__ assignment above.
 from .engine import (  # noqa: E402
-    Axis,
     DiskCache,
     EngineProvenance,
     SweepEngine,
@@ -70,7 +69,6 @@ __all__ = [
     "ALL_CONFIGURATIONS",
     "AdviseRequest",
     "AdviseResult",
-    "Axis",
     "ConfigSpace",
     "Configuration",
     "CostModel",

@@ -8,12 +8,6 @@ exploring other operating points.
 from .baseline import BaselineReport, baseline_figure, run_baseline
 from .crossover import Crossover, find_crossover, headroom_orders
 from .elasticity import Elasticity, elasticity, elasticity_profile
-from .design_space import (
-    DesignCandidate,
-    cheapest_meeting,
-    enumerate_designs,
-    pareto_front,
-)
 from .figures import (
     DRIVE_MTTF_HIGH,
     DRIVE_MTTF_LOW,
@@ -38,13 +32,9 @@ __all__ = [
     "BaselineReport",
     "Crossover",
     "DRIVE_MTTF_HIGH",
-    "DesignCandidate",
     "Elasticity",
     "elasticity",
     "elasticity_profile",
-    "cheapest_meeting",
-    "enumerate_designs",
-    "pareto_front",
     "find_crossover",
     "headroom_orders",
     "DRIVE_MTTF_LOW",

@@ -13,13 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 from ..models.configurations import Configuration
 from ..models.parameters import Parameters
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..engine.sweep import SweepEngine
 
 __all__ = ["Elasticity", "elasticity", "elasticity_profile"]
 
@@ -58,7 +55,6 @@ def elasticity(
     field: str,
     step: float = 0.05,
     method: str = "exact",
-    engine: Optional["SweepEngine"] = None,
 ) -> Elasticity:
     """Central log-log finite difference of events/PB-year w.r.t. ``field``.
 
@@ -68,8 +64,6 @@ def elasticity(
         field: a numeric :class:`Parameters` field.
         step: relative half-step (5% default).
         method: reliability computation method.
-        engine: optional :class:`~repro.engine.SweepEngine` used to
-            evaluate both probe points (bitwise-identical results).
     """
     current = getattr(params, field, None)
     if current is None or not isinstance(current, (int, float)):
@@ -78,15 +72,8 @@ def elasticity(
         raise ValueError("step must be in (0, 1)")
     up = params.replace(**{field: current * (1 + step)})
     down = params.replace(**{field: current * (1 - step)})
-    if engine is not None:
-        result_up, result_down = engine.evaluate_many(
-            [(config, up), (config, down)], method=method
-        )
-        rate_up = result_up.events_per_pb_year
-        rate_down = result_down.events_per_pb_year
-    else:
-        rate_up = config.reliability(up, method).events_per_pb_year
-        rate_down = config.reliability(down, method).events_per_pb_year
+    rate_up = config.reliability(up, method).events_per_pb_year
+    rate_down = config.reliability(down, method).events_per_pb_year
     value = (math.log(rate_up) - math.log(rate_down)) / (
         math.log(1 + step) - math.log(1 - step)
     )
@@ -98,12 +85,8 @@ def elasticity_profile(
     params: Parameters,
     fields: Sequence[str] = NUMERIC_FIELDS,
     method: str = "exact",
-    engine: Optional["SweepEngine"] = None,
 ) -> List[Elasticity]:
     """Elasticities for several fields, sorted by descending magnitude."""
-    results = [
-        elasticity(config, params, f, method=method, engine=engine)
-        for f in fields
-    ]
+    results = [elasticity(config, params, f, method=method) for f in fields]
     results.sort(key=lambda e: e.magnitude, reverse=True)
     return results

@@ -168,7 +168,6 @@ def tornado(
     base_params: Parameters,
     parameter_ranges: Dict[str, Tuple[Sequence[Any], ParamsTransform]],
     method: str = "exact",
-    engine: Optional["SweepEngine"] = None,
 ) -> List[TornadoEntry]:
     """Rank parameters by reliability leverage.
 
@@ -177,15 +176,13 @@ def tornado(
         base_params: the shared baseline.
         parameter_ranges: name -> (x_values, transform) as for
             :func:`sweep`.
-        engine: optional :class:`~repro.engine.SweepEngine` for the
-            underlying sweeps.
 
     Returns:
         Entries sorted by descending leverage.
     """
     entries = []
     for name, (x_values, transform) in parameter_ranges.items():
-        points = sweep(configs, base_params, x_values, transform, method, engine)
+        points = sweep(configs, base_params, x_values, transform, method)
         for config in configs:
             mine = [p.events_per_pb_year for p in points if p.config == config]
             entries.append(

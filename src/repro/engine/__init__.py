@@ -1,6 +1,6 @@
 """repro.engine — the memoized sweep engine.
 
-The engine evaluates grids of (configuration, parameters) points
+The engine evaluates batches of (configuration, parameters) points
 in-process with compiled-spec memoization, batched GTH solves and an
 optional on-disk result cache, while producing floats bitwise
 identical to the plain point-by-point evaluation.  It also hosts the
@@ -20,15 +20,13 @@ from .solver import (
     prepare_point,
     solve_grouped,
 )
-from .sweep import Axis, GridPoint, SweepEngine, point_payload_valid
+from .sweep import SweepEngine, point_payload_valid
 
 __all__ = [
-    "Axis",
     "CACHE_SCHEMA_VERSION",
     "DEFAULT_CACHE_DIR",
     "DiskCache",
     "EngineProvenance",
-    "GridPoint",
     "SolveContext",
     "SweepEngine",
     "SweepResult",

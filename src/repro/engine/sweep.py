@@ -1,41 +1,41 @@
 """The sweep engine.
 
-:class:`SweepEngine` evaluates grids of (configuration, parameters)
+:class:`SweepEngine` evaluates batches of (configuration, parameters)
 points in-process with two accelerators — compiled-spec binding (plus
 the array-rates memo) and an optional on-disk result cache — while
 guaranteeing the exact floats of the pre-engine point-by-point code (see
 :mod:`repro.engine.solver` for why every path is bitwise-deterministic).
 
-Typical use::
+The engine takes plain point lists; which points to evaluate is the
+caller's business.  One-axis figure sweeps go through
+:func:`repro.analysis.sweep` with ``engine=`` (grouped by
+:func:`repro.analysis.sweep_to_figure`), design grids through
+:func:`repro.advise`.  Typical use::
 
     engine = SweepEngine(cache=True)
-    result = engine.sweep(
-        sensitivity_configurations(),
-        Axis("drive_mttf_hours", (100_000, 300_000, 750_000)),
+    results = engine.evaluate_many(
+        [(config, params.replace(drive_mttf_hours=x))
+         for x in (100_000, 300_000, 750_000)
+         for config in sensitivity_configurations()]
     )
-    print(format_figure(result))
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from ..core.solvers import DEFAULT_SOLVE_OPTIONS, SolveOptions
 from ..models.configurations import Configuration
-from ..models.metrics import PAPER_TARGET_EVENTS_PER_PB_YEAR, ReliabilityResult
+from ..models.metrics import ReliabilityResult
 from ..models.parameters import Parameters
-from ..models.space import SearchSpace
 from .. import __version__, obs
-from ..reporting import Series
 from .cache import DEFAULT_CACHE_DIR, DiskCache
 from .keys import point_key
-from .result import EngineProvenance, SweepResult
+from .result import EngineProvenance
 from .solver import SolveContext, evaluate_chunk, normalize_method
 
-__all__ = ["Axis", "GridPoint", "SweepEngine", "point_payload_valid"]
+__all__ = ["SweepEngine", "point_payload_valid"]
 
 
 def point_payload_valid(payload: dict) -> bool:
@@ -49,53 +49,12 @@ def point_payload_valid(payload: dict) -> bool:
     return isinstance(mttdl, (int, float)) and not isinstance(mttdl, bool)
 
 
-@dataclass(frozen=True)
-class Axis:
-    """One swept dimension of a parameter grid.
-
-    Attributes:
-        name: the :class:`Parameters` field to vary (or a descriptive name
-            when ``transform`` is given).
-        values: the swept values.
-        transform: optional ``(params, x) -> params`` mapping; defaults to
-            replacing ``name`` with ``x`` cast to the field's type.
-        label: axis label for figures (defaults to ``name``).
-    """
-
-    name: str
-    values: Sequence[Any]
-    transform: Optional[Callable[[Parameters, Any], Parameters]] = None
-    label: Optional[str] = None
-
-    @property
-    def x_label(self) -> str:
-        return self.label if self.label is not None else self.name
-
-    def apply(self, params: Parameters, x: Any) -> Parameters:
-        """The parameter set at swept value ``x``."""
-        if self.transform is not None:
-            return self.transform(params, x)
-        current = getattr(params, self.name)
-        value = type(current)(x) if isinstance(current, (int, float)) else x
-        return params.replace(**{self.name: value})
-
-
-@dataclass(frozen=True)
-class GridPoint:
-    """One evaluated point of a multi-axis grid."""
-
-    config: Configuration
-    coords: Tuple[Tuple[str, Any], ...]
-    params: Parameters
-    result: ReliabilityResult
-
-
 class SweepEngine:
     """Evaluates configuration/parameter grids fast and reproducibly.
 
     Args:
-        base_params: default baseline for :meth:`sweep` / :meth:`grid`
-            (the paper's Section 6 baseline when omitted).
+        base_params: default baseline for :meth:`evaluate` (the paper's
+            Section 6 baseline when omitted).
         jobs: must be 1.  The engine always evaluates in-process (the
             widest sweep here is milliseconds of work, far below a
             process pool's start-up cost); Monte-Carlo replica fan-out
@@ -284,138 +243,3 @@ class SweepEngine:
             ]
             batch_span.set("cache_hits", len(pairs) - len(miss_indices))
         return results
-
-    # ------------------------------------------------------------------ #
-    # sweeps and grids
-    # ------------------------------------------------------------------ #
-
-    def sweep(
-        self,
-        configs: Sequence[Configuration],
-        axis: Axis,
-        *,
-        base_params: Optional[Parameters] = None,
-        method: Optional[str] = None,
-        options: Optional[SolveOptions] = None,
-        title: Optional[str] = None,
-        label_fn: Optional[Callable[[Any], str]] = None,
-    ) -> SweepResult:
-        """Evaluate ``configs`` along one axis; returns a :class:`SweepResult`.
-
-        Point order matches :func:`repro.analysis.sensitivity.sweep`
-        (x-major, then configuration).
-        """
-        from ..analysis.sensitivity import SweepPoint
-
-        base = base_params if base_params is not None else self._base
-        xs = list(axis.values)
-        pairs = [
-            (config, axis.apply(base, x)) for x in xs for config in configs
-        ]
-        results = self.evaluate_many(pairs, method=method, options=options)
-        points = tuple(
-            SweepPoint(
-                x=x,
-                config=config,
-                events_per_pb_year=result.events_per_pb_year,
-                mttdl_hours=result.mttdl_hours,
-            )
-            for (x, config), result in zip(
-                ((x, c) for x in xs for c in configs), results
-            )
-        )
-        if label_fn is None:
-            label_fn = lambda p: p.config.label
-        labels: List[str] = []
-        values: dict = {}
-        for p in points:
-            label = label_fn(p)
-            if label not in values:
-                labels.append(label)
-                values[label] = {}
-            values[label][p.x] = p.events_per_pb_year
-        series = tuple(
-            Series(label, tuple(values[label][x] for x in xs))
-            for label in labels
-        )
-        return SweepResult(
-            title=title if title is not None else f"Sweep over {axis.x_label}",
-            x_label=axis.x_label,
-            x_values=tuple(float(x) for x in xs),
-            series=series,
-            target=PAPER_TARGET_EVENTS_PER_PB_YEAR,
-            axis_name=axis.name,
-            axis_values=tuple(xs),
-            points=points,
-            provenance=self.provenance(method),
-        )
-
-    def grid(
-        self,
-        configs: Sequence[Configuration],
-        axes: Sequence[Axis],
-        *,
-        base_params: Optional[Parameters] = None,
-        method: Optional[str] = None,
-        options: Optional[SolveOptions] = None,
-    ) -> List[GridPoint]:
-        """Evaluate the full cartesian product of ``axes`` for every
-        configuration; returns points in (axes-major, config-minor) order."""
-        if not axes:
-            raise ValueError("grid needs at least one axis")
-        base = base_params if base_params is not None else self._base
-        combos = list(itertools.product(*(list(a.values) for a in axes)))
-        entries = []
-        for combo in combos:
-            params = base
-            for axis, x in zip(axes, combo):
-                params = axis.apply(params, x)
-            coords = tuple((axis.name, x) for axis, x in zip(axes, combo))
-            for config in configs:
-                entries.append((config, coords, params))
-        results = self.evaluate_many(
-            [(config, params) for config, _, params in entries],
-            method=method,
-            options=options,
-        )
-        return [
-            GridPoint(config=config, coords=coords, params=params, result=result)
-            for (config, coords, params), result in zip(entries, results)
-        ]
-
-    def evaluate_space(
-        self,
-        space: "SearchSpace",
-        *,
-        base_params: Optional[Parameters] = None,
-        method: Optional[str] = None,
-        options: Optional[SolveOptions] = None,
-    ) -> Tuple[List[GridPoint], int]:
-        """Evaluate every feasible point of a declarative
-        :class:`repro.models.SearchSpace` in one batch.
-
-        Enumeration order is the space's own (config-major, axes in
-        declared order) rather than :meth:`grid`'s axes-major order.
-        Returns the evaluated points plus the number of infeasible
-        combinations the space skipped.  Results are bitwise identical
-        to ``config.reliability(params, method)`` per point.
-        """
-        base = base_params if base_params is not None else self._base
-        points, skipped = space.grid(base)
-        results = self.evaluate_many(
-            [(p.config, p.params) for p in points],
-            method=method,
-            options=options,
-        )
-        return (
-            [
-                GridPoint(
-                    config=p.config,
-                    coords=p.coords,
-                    params=p.params,
-                    result=result,
-                )
-                for p, result in zip(points, results)
-            ],
-            skipped,
-        )

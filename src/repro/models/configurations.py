@@ -162,7 +162,7 @@ def all_configurations(max_fault_tolerance: int = 3) -> List[Configuration]:
     space = ConfigSpace(
         fault_tolerances=tuple(range(1, max_fault_tolerance + 1))
     )
-    return space.configurations(major="fault_tolerance")
+    return space.configurations()
 
 
 #: The paper's nine configurations, in Figure 13 order.

@@ -2,8 +2,9 @@
 
 One helper owns the "enumerate a grid of candidate designs" job that
 used to be spelled as ad-hoc nested loops in three places (the paper's
-nine-configuration grid, the analysis layer's design enumeration, the
-fleet scenario generator's config choices).  A space is data:
+nine-configuration grid, the design search's candidates in
+:mod:`repro.advise`, the fleet scenario generator's config choices).
+A space is data:
 
 * :class:`ConfigSpace` — which internal RAID levels crossed with which
   cross-node fault tolerances;
@@ -173,34 +174,17 @@ class ConfigSpace:
     def size(self) -> int:
         return len(self.internal_levels) * len(self.fault_tolerances)
 
-    def configurations(
-        self, major: str = "fault_tolerance"
-    ) -> List["Configuration"]:
-        """The configuration grid, in a declared nesting order.
-
-        ``major="fault_tolerance"`` (default) iterates tolerances in the
-        outer loop — the paper's Figure 13 order used by
-        :func:`repro.models.all_configurations`.  ``major="internal"``
-        iterates RAID levels outermost — the analysis layer's
-        design-enumeration order.
-        """
+    def configurations(self) -> List["Configuration"]:
+        """The configuration grid, tolerances in the outer loop — the
+        paper's Figure 13 order used by
+        :func:`repro.models.all_configurations`."""
         from .configurations import Configuration
 
-        if major == "fault_tolerance":
-            return [
-                Configuration(internal, t)
-                for t in self.fault_tolerances
-                for internal in self.internal_levels
-            ]
-        if major == "internal":
-            return [
-                Configuration(internal, t)
-                for internal in self.internal_levels
-                for t in self.fault_tolerances
-            ]
-        raise ValueError(
-            f"major must be 'fault_tolerance' or 'internal', got {major!r}"
-        )
+        return [
+            Configuration(internal, t)
+            for t in self.fault_tolerances
+            for internal in self.internal_levels
+        ]
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -281,8 +265,8 @@ class ParamAxis:
         """``params`` with this axis set to ``value``.
 
         Derived axes fold through their transform; plain fields coerce
-        to the field's current type (ints stay ints), matching
-        :class:`repro.engine.sweep.Axis` semantics.
+        to the field's current type (ints stay ints), matching the
+        CLIs' ``--set FIELD=VALUE`` semantics.
         """
         derived = DERIVED_AXES.get(self.name)
         if derived is not None:
@@ -336,13 +320,10 @@ class SearchSpace:
         configs: the configuration grid.
         axes: swept parameter axes (cartesian product, declared order;
             the first axis is outermost).
-        major: configuration nesting order passed through to
-            :meth:`ConfigSpace.configurations`.
     """
 
     configs: ConfigSpace = field(default_factory=ConfigSpace)
     axes: Tuple[ParamAxis, ...] = ()
-    major: str = "fault_tolerance"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "axes", tuple(self.axes))
@@ -353,11 +334,6 @@ class SearchSpace:
             if axis.name in seen:
                 raise SpaceError(axis.name, "axis declared twice")
             seen.add(axis.name)
-        if self.major not in ("fault_tolerance", "internal"):
-            raise ValueError(
-                "major must be 'fault_tolerance' or 'internal', "
-                f"got {self.major!r}"
-            )
 
     def size(self) -> int:
         """Grid cardinality before feasibility skips."""
@@ -403,7 +379,7 @@ class SearchSpace:
             resolved.append((coords, params))
         points: List[SpacePoint] = []
         skipped = 0
-        for config in self.configs.configurations(major=self.major):
+        for config in self.configs.configurations():
             t = config.node_fault_tolerance
             for entry in resolved:
                 if entry is None or entry[1].redundancy_set_size <= t:

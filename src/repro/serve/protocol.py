@@ -282,11 +282,16 @@ def parse_evaluate_body(body: Any, base: Parameters) -> List[PointQuery]:
 
 @dataclass(frozen=True)
 class SweepQuery:
-    """A validated ``/v1/sweep`` request: one axis over many configs."""
+    """A validated ``/v1/sweep`` request: one axis over many configs.
+
+    ``params`` holds the parameter set at each of ``values``, built by
+    :func:`params_with_overrides` (so values cast to the field's type).
+    """
 
     configs: Tuple[Configuration, ...]
     axis_name: str
     values: Tuple[float, ...]
+    params: Tuple[Parameters, ...]
     method: str = "analytic"
 
 
@@ -344,14 +349,14 @@ def parse_sweep_body(body: Any, base: Parameters) -> SweepQuery:
         method != "monte_carlo",
         "sweeps run the chain methods; use /v1/evaluate for monte_carlo",
     )
-    # Validate every swept parameter set now: a sweep must be fully
+    # Build every swept parameter set now: a sweep must be fully
     # admissible before any of it is evaluated.
-    for v in values:
-        params_with_overrides(base, {name: v})
+    params = tuple(params_with_overrides(base, {name: v}) for v in values)
     return SweepQuery(
         configs=tuple(configs),
         axis_name=name,
         values=tuple(float(v) for v in values),
+        params=params,
         method=method,
     )
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
 from .. import obs
-from ..engine.sweep import Axis, SweepEngine
+from ..engine.sweep import SweepEngine
 from ..models.availability import AvailabilityModel
 from ..models.metrics import ReliabilityResult
 from ..models.parameters import Parameters
@@ -433,8 +433,13 @@ class ReliabilityService:
     # ------------------------------------------------------------------ #
 
     async def sweep(self, query: SweepQuery) -> Dict[str, Any]:
-        """Answer one axis sweep through :class:`SweepEngine`."""
+        """Answer one axis sweep through :class:`SweepEngine`, x-major."""
         self._sweep_requests.inc()
+        pairs = [
+            (config, params)
+            for params in query.params
+            for config in query.configs
+        ]
 
         def run() -> Any:
             with obs.span(
@@ -443,21 +448,17 @@ class ReliabilityService:
                 configs=len(query.configs),
                 values=len(query.values),
             ):
-                return self._engine.sweep(
-                    list(query.configs),
-                    Axis(query.axis_name, query.values),
-                    method=query.method,
-                )
+                return self._engine.evaluate_many(pairs, method=query.method)
 
-        result = await self._offload(run)
+        results = await self._offload(run)
         by_config: Dict[str, Dict[str, List[float]]] = {}
-        for point in result.points:
+        for (config, _), result in zip(pairs, results):
             entry = by_config.setdefault(
-                point.config.key,
+                config.key,
                 {"mttdl_hours": [], "events_per_pb_year": []},
             )
-            entry["mttdl_hours"].append(point.mttdl_hours)
-            entry["events_per_pb_year"].append(point.events_per_pb_year)
+            entry["mttdl_hours"].append(result.mttdl_hours)
+            entry["events_per_pb_year"].append(result.events_per_pb_year)
         return {
             "axis": query.axis_name,
             "values": list(query.values),

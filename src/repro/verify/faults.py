@@ -124,16 +124,19 @@ def poison_spec_cache(cache) -> int:
 
 
 @contextlib.contextmanager
-def _expected_rejections():
-    """Mute the cache's rejection warnings while the drill deliberately
-    plants garbage — the rejections are the point, not an incident."""
-    logger = logging.getLogger("repro.engine.cache")
-    previous = logger.level
-    logger.setLevel(logging.CRITICAL)
+def _muted(*logger_names: str):
+    """Mute the named loggers' warnings while the drill does damage on
+    purpose — the rejections and recoveries are the point, not an
+    incident."""
+    loggers = [logging.getLogger(name) for name in logger_names]
+    previous = [logger.level for logger in loggers]
+    for logger in loggers:
+        logger.setLevel(logging.CRITICAL)
     try:
         yield
     finally:
-        logger.setLevel(previous)
+        for logger, level in zip(loggers, previous):
+            logger.setLevel(level)
 
 
 def _mttdls(engine: SweepEngine, pairs, method: str = "analytic") -> List[float]:
@@ -180,7 +183,7 @@ def fault_drill(
         )
 
     # -- disk-cache corruption: warm the cache, damage it, re-read. ----- #
-    with _expected_rejections():
+    with _muted("repro.engine.cache"):
         for mode in CACHE_CORRUPTION_MODES:
             tmp = tempfile.mkdtemp(prefix="repro-verify-cache-")
             try:
@@ -221,7 +224,7 @@ def fault_drill(
         return (mc.mean_hours, mc.std_error_hours, mc.loss_causes)
 
     serial = estimate(1)
-    with faultpoints.injected(
+    with _muted("repro.runtime.chunks"), faultpoints.injected(
         faultpoints.POOL_WORKER_START, kill_worker_action()
     ):
         observed = estimate(jobs)

@@ -1,84 +1,121 @@
-"""Tests for design-space enumeration."""
+"""Design-space search over the paper's redundancy grid.
+
+The conclusion's question — which redundancy configuration meets a given
+reliability target — is answered by :func:`repro.advise`.  These tests
+run it over the grid of internal RAID level x fault tolerance x
+redundancy set size x rebuild block size.
+"""
 
 import pytest
 
-from repro.analysis import (
-    cheapest_meeting,
-    enumerate_designs,
-    pareto_front,
+from repro import AdviseRequest, CostModel, advise
+from repro.advise import dominates
+from repro.models import (
+    KB,
+    ConfigSpace,
+    Configuration,
+    InternalRaid,
+    ParamAxis,
+    Parameters,
+    SearchSpace,
 )
-from repro.analysis.design_space import storage_overhead
-from repro.models import Configuration, InternalRaid, Parameters
+
+BASE = Parameters.baseline()
+
+AXES = (
+    ParamAxis("redundancy_set_size", (6, 8, 12)),
+    ParamAxis("rebuild_command_bytes", tuple(kb * KB for kb in (64, 128, 256))),
+)
+
+
+def search(target, configs=ConfigSpace(), axes=AXES):
+    request = AdviseRequest(
+        space=SearchSpace(configs=configs, axes=axes),
+        target_events_per_pb_year=target,
+    )
+    return advise(request, base_params=BASE)
 
 
 @pytest.fixture(scope="module")
-def candidates():
-    return enumerate_designs(Parameters.baseline())
+def paper_target():
+    return search(2e-3)
+
+
+def _overhead(config, r):
+    return CostModel().breakdown(config, BASE.replace(redundancy_set_size=r))
 
 
 class TestOverhead:
+    """The overhead objective compounds both redundancy dimensions."""
+
     def test_cross_node_only(self):
         config = Configuration(InternalRaid.NONE, 2)
-        assert storage_overhead(config, 8, 12) == pytest.approx(8 / 6)
+        assert _overhead(config, 8).storage_overhead == pytest.approx(8 / 6)
 
     def test_raid5_compounds(self):
         config = Configuration(InternalRaid.RAID5, 2)
-        assert storage_overhead(config, 8, 12) == pytest.approx(8 / 6 * 12 / 11)
+        assert _overhead(config, 8).storage_overhead == pytest.approx(
+            8 / 6 * 12 / 11
+        )
 
     def test_raid6_compounds(self):
         config = Configuration(InternalRaid.RAID6, 1)
-        assert storage_overhead(config, 8, 12) == pytest.approx(8 / 7 * 12 / 10)
+        assert _overhead(config, 8).storage_overhead == pytest.approx(
+            8 / 7 * 12 / 10
+        )
 
     def test_invalid_r(self):
         with pytest.raises(ValueError):
-            storage_overhead(Configuration(InternalRaid.NONE, 3), 3, 12)
+            _overhead(Configuration(InternalRaid.NONE, 3), 3)
 
 
 class TestEnumeration:
-    def test_grid_size(self, candidates):
-        # 3 internal x 3 tolerances x 3 sizes x 3 blocks, minus R <= t skips.
-        assert len(candidates) == 81
+    def test_grid_size(self, paper_target):
+        # 3 internal x 3 tolerances x 3 sizes x 3 blocks, no R <= t.
+        assert paper_target.evaluated == 81
+        assert paper_target.skipped == 0
 
     def test_invalid_combinations_skipped(self):
-        designs = enumerate_designs(
-            Parameters.baseline(), fault_tolerances=(6,), set_sizes=(6, 8)
+        result = search(
+            1.0,
+            configs=ConfigSpace(fault_tolerances=(6,)),
+            axes=(ParamAxis("redundancy_set_size", (6, 8)),),
         )
         # R = 6 <= t = 6 is skipped; only R = 8 survives.
-        assert all(d.redundancy_set_size == 8 for d in designs)
+        assert result.skipped == 3
+        assert result.evaluated == 3
+        assert all(c.params.redundancy_set_size == 8 for c in result.frontier)
 
-    def test_each_candidate_evaluated(self, candidates):
-        assert all(c.events_per_pb_year > 0 for c in candidates)
-        assert all(c.storage_overhead > 1.0 for c in candidates)
+    def test_each_candidate_evaluated(self, paper_target):
+        assert paper_target.frontier
+        for c in paper_target.frontier:
+            assert c.result.events_per_pb_year > 0
+            assert c.cost.storage_overhead > 1.0
 
 
 class TestSelection:
-    def test_cheapest_meets_target(self, candidates):
-        best = cheapest_meeting(candidates, target=2e-3)
+    def test_cheapest_meets_target(self, paper_target):
+        best = paper_target.recommended
         assert best is not None
-        assert best.meets(2e-3)
-        meeting = [c for c in candidates if c.meets(2e-3)]
-        assert all(best.storage_overhead <= c.storage_overhead for c in meeting)
+        assert best.result.events_per_pb_year < 2e-3
+        assert all(
+            best.cost.total <= c.cost.total for c in paper_target.frontier
+        )
 
-    def test_stricter_target_costs_at_least_as_much(self, candidates):
-        loose = cheapest_meeting(candidates, 1e-2)
-        strict = cheapest_meeting(candidates, 1e-8)
+    def test_stricter_target_costs_at_least_as_much(self):
+        loose = search(1e-2).recommended
+        strict = search(1e-8).recommended
         assert loose is not None and strict is not None
-        assert strict.storage_overhead >= loose.storage_overhead
+        assert strict.cost.total >= loose.cost.total
 
-    def test_unreachable_target(self, candidates):
-        assert cheapest_meeting(candidates, 1e-30) is None
+    def test_unreachable_target(self):
+        result = search(1e-30)
+        assert result.recommended is None
+        assert result.frontier == ()
 
-    def test_pareto_front_is_nondominated(self, candidates):
-        front = pareto_front(candidates)
-        assert front
-        overheads = [c.storage_overhead for c in front]
-        rates = [c.events_per_pb_year for c in front]
-        assert overheads == sorted(overheads)
-        assert rates == sorted(rates, reverse=True)
-        # Every candidate is dominated by (or on) the front.
-        for c in candidates:
-            assert any(
-                f.storage_overhead <= c.storage_overhead
-                and f.events_per_pb_year <= c.events_per_pb_year
-                for f in front
-            )
+    def test_pareto_front_is_nondominated(self, paper_target):
+        front = paper_target.frontier
+        objectives = [c.objectives for c in front]
+        assert objectives == sorted(objectives)
+        for a in objectives:
+            assert not any(dominates(b, a) for b in objectives)

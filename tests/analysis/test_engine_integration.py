@@ -2,17 +2,12 @@
 
 import pytest
 
-from repro import Parameters, SweepEngine, SweepResult
+from repro import AdviseRequest, SweepEngine, SweepResult, advise
 from repro.analysis.cli import main
-from repro.analysis.design_space import enumerate_designs
-from repro.analysis.elasticity import elasticity_profile
 from repro.analysis.figures import figure17_link_speed, figure20_drives_per_node
 from repro.analysis.sensitivity import sweep, sweep_to_figure
-from repro.models.configurations import (
-    Configuration,
-    sensitivity_configurations,
-)
-from repro.models.raid import InternalRaid
+from repro.models import KB, ParamAxis, SearchSpace
+from repro.models.configurations import sensitivity_configurations
 
 
 def _assert_same_figure(plain, fast):
@@ -69,19 +64,22 @@ class TestSweepParity:
 
 class TestDesignSpaceParity:
     def test_bitwise(self, baseline):
-        plain = enumerate_designs(baseline)
-        fast = enumerate_designs(baseline, engine=SweepEngine(baseline))
-        assert plain == fast
-
-
-class TestElasticityParity:
-    def test_bitwise(self, baseline):
-        config = Configuration(InternalRaid.RAID5, 2)
-        plain = elasticity_profile(config, baseline)
-        fast = elasticity_profile(
-            config, baseline, engine=SweepEngine(baseline)
+        """The design search (repro.advise) reports the plain per-point
+        reliability for every frontier design."""
+        space = SearchSpace(
+            axes=(
+                ParamAxis("redundancy_set_size", (6, 8, 12)),
+                ParamAxis("rebuild_command_bytes", (64 * KB, 256 * KB)),
+            )
         )
-        assert plain == fast
+        result = advise(
+            AdviseRequest(space=space, target_events_per_pb_year=1.0),
+            base_params=baseline,
+        )
+        assert len(result.frontier) > 3
+        for candidate in result.frontier:
+            plain = candidate.config.reliability(candidate.params, "exact")
+            assert candidate.result == plain
 
 
 class TestCliFlags:

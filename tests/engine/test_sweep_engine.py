@@ -1,10 +1,12 @@
 """SweepEngine: bitwise equality with the point loop, the in-process-only
-``jobs`` knob, disk caching, sweeps and grids."""
+``jobs`` knob, disk caching, and sweeps and grids built on it."""
 
 import pytest
 
 from repro import ALL_CONFIGURATIONS, Parameters, SweepEngine
-from repro.engine import Axis, DiskCache
+from repro.analysis import sweep, sweep_to_figure
+from repro.engine import DiskCache
+from repro.models import ConfigSpace, InternalRaid, ParamAxis, SearchSpace
 from repro.models.configurations import sensitivity_configurations
 
 
@@ -106,12 +108,24 @@ class TestDiskCacheIntegration:
 
 
 class TestSweepAndGrid:
+    """The engine evaluates point lists; one-axis sweeps come from
+    ``repro.analysis.sweep`` and grids from ``SearchSpace.grid``."""
+
     def test_sweep_result_shape(self, baseline):
         engine = SweepEngine(jobs=1)
-        result = engine.sweep(
+        points = sweep(
             sensitivity_configurations(),
-            Axis("node_set_size", (16, 64), label="node set size N"),
-            base_params=baseline,
+            baseline,
+            (16, 64),
+            lambda p, x: p.replace(node_set_size=x),
+            engine=engine,
+        )
+        result = sweep_to_figure(
+            "t",
+            "node set size N",
+            points,
+            axis_name="node_set_size",
+            provenance=engine.provenance(),
         )
         assert result.axis_name == "node_set_size"
         assert result.axis_values == (16, 64)
@@ -122,51 +136,58 @@ class TestSweepAndGrid:
         assert result.provenance is not None
 
     def test_sweep_matches_direct_evaluation(self, baseline):
-        engine = SweepEngine(jobs=1)
-        result = engine.sweep(
+        points = sweep(
             sensitivity_configurations(),
-            Axis("drive_mttf_hours", (100_000.0, 750_000.0)),
-            base_params=baseline,
+            baseline,
+            (100_000.0, 750_000.0),
+            lambda p, x: p.replace(drive_mttf_hours=x),
+            engine=SweepEngine(jobs=1),
         )
-        for point in result.points:
+        for point in points:
             expected = point.config.reliability(
                 baseline.replace(drive_mttf_hours=point.x), "exact"
             )
             assert point.mttdl_hours == expected.mttdl_hours
 
     def test_axis_transform(self, baseline):
-        axis = Axis(
-            "link_speed",
+        points = sweep(
+            sensitivity_configurations()[:1],
+            baseline,
             (1.0, 10.0),
-            transform=lambda p, x: p.with_link_speed_gbps(x),
+            lambda p, x: p.with_link_speed_gbps(x),
+            engine=SweepEngine(jobs=1),
         )
-        assert axis.apply(baseline, 1.0).link_speed_bps == 1e9
+        expected = sensitivity_configurations()[0].reliability(
+            baseline.with_link_speed_gbps(1.0), "exact"
+        )
+        assert points[0].mttdl_hours == expected.mttdl_hours
 
     def test_axis_casts_to_field_type(self, baseline):
-        axis = Axis("node_set_size", (16.0,))
-        applied = axis.apply(baseline, 16.0)
+        applied = ParamAxis("node_set_size", (16.0,)).apply(baseline, 16.0)
         assert applied.node_set_size == 16
         assert isinstance(applied.node_set_size, int)
 
     def test_grid_covers_product(self, baseline):
-        engine = SweepEngine(jobs=1)
-        points = engine.grid(
-            sensitivity_configurations()[:2],
-            [
-                Axis("node_set_size", (16, 64)),
-                Axis("drives_per_node", (4, 12)),
-            ],
-            base_params=baseline,
+        space = SearchSpace(
+            configs=ConfigSpace(
+                internal_levels=(InternalRaid.NONE,), fault_tolerances=(2, 3)
+            ),
+            axes=(
+                ParamAxis("node_set_size", (16, 64)),
+                ParamAxis("drives_per_node", (4, 12)),
+            ),
         )
+        points, skipped = space.grid(baseline)
+        assert skipped == 0
         assert len(points) == 2 * 2 * 2
+        results = SweepEngine(jobs=1).evaluate_many(
+            [(p.config, p.params) for p in points]
+        )
         first = points[0]
         assert first.coords == (("node_set_size", 16), ("drives_per_node", 4))
-        expected = first.config.reliability(first.params, "exact")
-        assert first.result.mttdl_hours == expected.mttdl_hours
-
-    def test_grid_needs_axes(self, baseline):
-        with pytest.raises(ValueError):
-            SweepEngine().grid(sensitivity_configurations(), [])
+        for point, result in zip(points, results):
+            expected = point.config.reliability(point.params, "exact")
+            assert result.mttdl_hours == expected.mttdl_hours
 
 
 class TestProvenance:

@@ -38,7 +38,7 @@ def reference_grid(space, base):
     rejects and those with ``R <= t``."""
     combos = list(itertools.product(*(a.values for a in space.axes)))
     points, skipped = [], 0
-    for config in space.configs.configurations(major=space.major):
+    for config in space.configs.configurations():
         for combo in combos:
             params = base
             try:
@@ -70,18 +70,15 @@ class TestConfigSpace:
         assert [c.key for c in configs] == [c.key for c in ALL_CONFIGURATIONS]
 
     def test_major_orders(self):
+        """Tolerances are the outer loop; there is no other order."""
         space = ConfigSpace(
             internal_levels=(InternalRaid.NONE, InternalRaid.RAID5),
             fault_tolerances=(1, 2),
         )
-        ft_major = [c.key for c in space.configurations("fault_tolerance")]
-        assert ft_major == ["ft1_noraid", "ft1_raid5", "ft2_noraid", "ft2_raid5"]
-        internal_major = [c.key for c in space.configurations("internal")]
-        assert internal_major == [
-            "ft1_noraid", "ft2_noraid", "ft1_raid5", "ft2_raid5",
-        ]
-        with pytest.raises(ValueError, match="major"):
-            space.configurations("bogus")
+        keys = [c.key for c in space.configurations()]
+        assert keys == ["ft1_noraid", "ft1_raid5", "ft2_noraid", "ft2_raid5"]
+        with pytest.raises(TypeError):
+            space.configurations(major="internal")
 
     @pytest.mark.parametrize(
         "kwargs, axis",
@@ -235,7 +232,6 @@ class TestSearchSpace:
         assert point.coords == (("redundancy_set_size", 8),)
         assert point.params == BASE.replace(redundancy_set_size=8)
 
-    @pytest.mark.parametrize("major", ["fault_tolerance", "internal"])
     @pytest.mark.parametrize(
         "axes",
         [
@@ -254,8 +250,8 @@ class TestSearchSpace:
         ],
         ids=["r-gt-n", "derived", "no-axes"],
     )
-    def test_grid_matches_reference_loop(self, axes, major):
-        space = SearchSpace(axes=axes, major=major)
+    def test_grid_matches_reference_loop(self, axes):
+        space = SearchSpace(axes=axes)
         points, skipped = space.grid(BASE)
         expected, expected_skipped = reference_grid(space, BASE)
         assert [(p.config, p.coords, p.params) for p in points] == expected

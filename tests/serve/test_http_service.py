@@ -7,9 +7,9 @@ import pytest
 
 import repro
 from repro.core.solvers import SolveOptions
-from repro.engine.sweep import Axis, SweepEngine
 from repro.models.configurations import Configuration, all_configurations
 from repro.serve import ServeConfig, serving
+from repro.serve.protocol import params_with_overrides
 from repro.serve.loadgen import run_loadgen
 
 pytestmark = pytest.mark.serve
@@ -224,8 +224,18 @@ def test_availability_profile_in_response(baseline):
     assert fractions == pytest.approx(1.0)
 
 
-def test_sweep_matches_sweep_engine(baseline):
-    values = (100_000.0, 300_000.0, 750_000.0)
+@pytest.mark.parametrize(
+    "name, values",
+    [
+        ("drive_mttf_hours", [100_000.0, 300_000.0, 750_000.0]),
+        ("node_set_size", [16.0, 64]),  # an int field sent as a float
+        ("drive_mttf_hours", [300_000.0, 300_000.0, 100_000.0]),
+    ],
+    ids=["float-field", "int-field", "repeated-value"],
+)
+def test_sweep_matches_direct_evaluate(baseline, name, values):
+    """Every served point equals repro.evaluate at the parameters
+    params_with_overrides builds; repeated values repeat their points."""
     configs = ["ft1_raid5", "ft2_raid5"]
 
     async def drive():
@@ -235,30 +245,33 @@ def test_sweep_matches_sweep_engine(baseline):
                 server.port,
                 "POST",
                 "/v1/sweep",
-                {
-                    "configs": configs,
-                    "axis": {
-                        "name": "drive_mttf_hours",
-                        "values": list(values),
-                    },
-                },
+                {"configs": configs, "axis": {"name": name, "values": values}},
             )
 
     status, _, answer = _run(drive())
     assert status == 200
-    assert answer["axis"] == "drive_mttf_hours"
-    assert answer["values"] == list(values)
-    engine = SweepEngine(base_params=baseline, jobs=1, cache=False)
-    result = engine.sweep(
-        [Configuration.from_key(k) for k in configs],
-        Axis("drive_mttf_hours", values),
-        method="analytic",
-    )
-    expected = {}
-    for point in result.points:
-        expected.setdefault(point.config.key, []).append(point.mttdl_hours)
-    served = {s["config"]: s["mttdl_hours"] for s in answer["series"]}
-    assert served == expected
+    series = []
+    for key in configs:
+        results = [
+            repro.evaluate(
+                Configuration.from_key(key),
+                params_with_overrides(baseline, {name: v}),
+            )
+            for v in values
+        ]
+        series.append(
+            {
+                "config": key,
+                "mttdl_hours": [r.mttdl_hours for r in results],
+                "events_per_pb_year": [r.events_per_pb_year for r in results],
+            }
+        )
+    assert answer == {
+        "axis": name,
+        "values": [float(v) for v in values],
+        "method": "analytic",
+        "series": series,
+    }
 
 
 # --------------------------------------------------------------------- #

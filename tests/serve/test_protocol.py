@@ -229,7 +229,17 @@ class TestParseSweepBody:
         assert [c.key for c in q.configs] == ["ft1_raid5", "ft2_raid5"]
         assert q.axis_name == "drive_mttf_hours"
         assert q.values == (1e5, 3e5)
+        assert q.params == (
+            baseline.replace(drive_mttf_hours=1e5),
+            baseline.replace(drive_mttf_hours=3e5),
+        )
         assert q.method == "analytic"
+
+    def test_int_field_values_cast(self, baseline):
+        body = dict(self.BODY, axis={"name": "node_set_size", "values": [16.0]})
+        (params,) = parse_sweep_body(body, baseline).params
+        assert params.node_set_size == 16
+        assert isinstance(params.node_set_size, int)
 
     def test_unknown_axis(self, baseline):
         body = dict(self.BODY, axis={"name": "warp", "values": [1]})

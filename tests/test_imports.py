@@ -4,8 +4,12 @@ The library path (``repro.evaluate``, ``SweepEngine``, the CLIs' import
 cost) runs in-process; the process runtime belongs to serving and the
 Monte-Carlo replica pool only, so importing the package must not pull
 in ``multiprocessing``, ``asyncio`` or the worker topologies.
+
+The layers import downwards: the engine evaluates points and knows
+nothing of the analysis layer built on top of it.
 """
 
+import ast
 import json
 import os
 import pathlib
@@ -37,3 +41,36 @@ def _loaded_after_import(names):
 def test_import_repro_leaves_process_runtime_unloaded():
     unwanted = {"multiprocessing", "asyncio", "repro.runtime.topology"}
     assert _loaded_after_import(unwanted) == []
+
+
+def _imported_modules(path, package):
+    """Absolute names of every module ``path`` imports, lazy imports
+    inside functions included (``package`` resolves relative ones)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                parts = package.split(".")
+                parts = parts[: len(parts) - node.level + 1]
+                base = ".".join(parts + ([node.module] if node.module else []))
+            else:
+                base = node.module
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_engine_does_not_import_analysis():
+    engine_dir = pathlib.Path(repro.__file__).resolve().parent / "engine"
+    offenders = {}
+    for path in sorted(engine_dir.glob("*.py")):
+        bad = sorted(
+            name
+            for name in _imported_modules(path, "repro.engine")
+            if name == "repro.analysis" or name.startswith("repro.analysis.")
+        )
+        if bad:
+            offenders[path.name] = bad
+    assert offenders == {}

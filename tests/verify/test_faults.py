@@ -5,6 +5,7 @@ caches and killed Monte-Carlo pool workers must yield results **bitwise
 identical** to a cold serial run.
 """
 
+import logging
 import os
 
 import pytest
@@ -139,3 +140,13 @@ class TestFaultDrill:
         assert violations == []
         # 4 corruption modes x 2 passes + killed workers + poisoned specs.
         assert checked == 10
+
+    def test_drill_logs_no_warning(self, monkeypatch, caplog):
+        """The drill kills pool workers and damages cache entries on
+        purpose; a clean run must not read like an incident."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)  # engage the pool
+        with caplog.at_level(logging.WARNING):
+            checked, violations = fault_drill(all_configurations(3), jobs=2)
+        assert violations == []
+        assert checked == 10
+        assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
