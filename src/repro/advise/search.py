@@ -213,20 +213,41 @@ def _tie_rank(seed: int, point: SpacePoint) -> str:
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
+class _TieRanks(Sequence[str]):
+    """The seeded tie ranks of ``points``, each hashed on first read.
+
+    Only frontier members and exactly equal objective vectors ever read
+    a rank, so most feasible points are never hashed.
+    """
+
+    def __init__(self, seed: int, points: Sequence[SpacePoint]) -> None:
+        self._seed = seed
+        self._points = points
+        self._ranks: Dict[int, str] = {}
+
+    def __len__(self) -> int:
+        return len(self._points)
+
+    def __getitem__(self, i):  # type: ignore[override]
+        rank = self._ranks.get(i)
+        if rank is None:
+            rank = self._ranks[i] = _tie_rank(self._seed, self._points[i])
+        return rank
+
+
 #: One feasible point as ``advise.cost`` keeps it:
-#: ``(objectives, tie_rank, point, result, cost)``.
+#: ``(objectives, point, result, cost)``.
 _Feasible = Tuple[
     Tuple[float, float, float],
-    str,
     SpacePoint,
     ReliabilityResult,
     CostBreakdown,
 ]
 
 
-def _candidate(entry: _Feasible, method: str) -> Candidate:
+def _candidate(entry: _Feasible, tie_rank: str, method: str) -> Candidate:
     """The :class:`Candidate` for one feasible ``advise.cost`` entry."""
-    objectives, tie_rank, point, result, cost = entry
+    objectives, point, result, cost = entry
     return Candidate(
         config=point.config,
         coords=point.coords,
@@ -284,8 +305,8 @@ def advise(
                 method=request.method,
             )
         with obs.span("advise.cost"):
-            # Only feasible points can reach the frontier, so only they
-            # are ranked; Candidates are built for frontier members alone.
+            # Only feasible points can reach the frontier; Candidates are
+            # built for frontier members alone.
             feasible: List[_Feasible] = []
             for point, result in zip(admissible, results):
                 cost = request.cost_model.breakdown(point.config, point.params)
@@ -309,22 +330,13 @@ def advise(
                     result.events_per_pb_year,
                     cost.storage_overhead,
                 )
-                feasible.append(
-                    (
-                        objectives,
-                        _tie_rank(request.seed, point),
-                        point,
-                        result,
-                        cost,
-                    )
-                )
+                feasible.append((objectives, point, result, cost))
         with obs.span("advise.frontier"):
-            front_idx = pareto_indices(
-                [entry[0] for entry in feasible],
-                [entry[1] for entry in feasible],
-            )
+            ranks = _TieRanks(request.seed, [entry[1] for entry in feasible])
+            front_idx = pareto_indices([entry[0] for entry in feasible], ranks)
             frontier = tuple(
-                _candidate(feasible[i], request.method) for i in front_idx
+                _candidate(feasible[i], ranks[i], request.method)
+                for i in front_idx
             )
             # The lexicographic minimum over all feasible points is never
             # dominated, and pareto_indices keeps the lowest rank among

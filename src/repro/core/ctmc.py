@@ -36,7 +36,6 @@ from typing import (
 )
 
 import numpy as np
-from scipy import linalg as _sla
 
 from ..obs.tracer import span as _obs_span, tracing_active as _tracing_active
 
@@ -448,8 +447,12 @@ class CTMC:
         if t < 0:
             raise CTMCError("time must be non-negative")
         pi0 = np.zeros(self.num_states)
+        # scipy is imported here, its only use, so that ``import repro``
+        # does not pay for loading it.
+        from scipy import linalg
+
         pi0[self.index_of(self._initial)] = 1.0
-        pi_t = pi0 @ _sla.expm(self._q * t)
+        pi_t = pi0 @ linalg.expm(self._q * t)
         pi_t = np.clip(pi_t, 0.0, None)
         pi_t = pi_t / pi_t.sum()
         return dict(zip(self._states, map(float, pi_t)))

@@ -12,12 +12,13 @@ from .facade import evaluate
 from .keys import CACHE_SCHEMA_VERSION, point_key, stable_digest
 from .result import EngineProvenance, SweepResult
 from .solver import (
+    PreparedGroup,
     SolveContext,
     closed_form_mttdl,
     evaluate_chunk,
     mttdl_batched,
     normalize_method,
-    prepare_point,
+    prepare_groups,
     solve_grouped,
 )
 from .sweep import SweepEngine, point_payload_valid
@@ -27,6 +28,7 @@ __all__ = [
     "DEFAULT_CACHE_DIR",
     "DiskCache",
     "EngineProvenance",
+    "PreparedGroup",
     "SolveContext",
     "SweepEngine",
     "SweepResult",
@@ -37,7 +39,7 @@ __all__ = [
     "normalize_method",
     "point_key",
     "point_payload_valid",
-    "prepare_point",
+    "prepare_groups",
     "solve_grouped",
     "stable_digest",
 ]

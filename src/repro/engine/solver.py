@@ -1,6 +1,6 @@
 """Batched evaluation of (configuration, parameters) points.
 
-Three optimizations over calling :meth:`Configuration.reliability` in a
+The optimizations over calling :meth:`Configuration.reliability` in a
 loop, none of which changes a single output bit:
 
 * **Compiled specs** — each chain family is compiled once from its
@@ -8,11 +8,17 @@ loop, none of which changes a single output bit:
   rates per point; compiled chains are keyed by content (spec hash) in a
   :class:`~repro.core.spec.CompiledSpecCache`, and the hashes are
   recorded in sweep provenance.
+* **Columnar prepare** — points are grouped by configuration and each
+  group's binding environment is computed once, over numpy columns of
+  its :class:`~repro.models.parameters.Parameters`
+  (:class:`~repro.models.parameters.ParameterColumns`): the models'
+  rebuild, ``h``-word and critical-fraction formulas run on whole
+  columns, with no per-point model objects or env dicts.
 * **Stacked binding** — points sharing a spec hash are bound in one
-  vectorized pass: their environments stack into per-parameter arrays,
-  :meth:`CompiledChain.bind_batch` evaluates every edge expression once
-  over all points into one rate tensor, whose rows the dense backend
-  stacks straight into the batched GTH system.
+  vectorized pass: :meth:`CompiledChain.bind_batch` evaluates every
+  edge expression once over the env columns into one rate tensor,
+  whose rows the dense backend stacks straight into the batched GTH
+  system.
 * **Array-rates memo** — the internal-RAID drive-level rates ``lambda_D``
   / ``lambda_S`` (and the embedded array MTTDL solve) depend on only a
   handful of scalars, which whole sweeps share; they are computed once per
@@ -31,7 +37,17 @@ pre-engine point-by-point code.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Dict,
+    Hashable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -46,18 +62,23 @@ from ..core.solvers import solve as _core_solve
 from ..core.spec import CompiledChain, CompiledSpecCache, ModelSpec
 from ..models.configurations import Configuration
 from ..models.internal_raid import InternalRaidNodeModel
-from ..models.parameters import Parameters
+from ..models.parameters import ParameterColumns, Parameters
 from ..models.raid import ArrayRates, InternalRaid, array_model
+from ..models.rebuild import RebuildModel
 
 __all__ = [
+    "PreparedGroup",
     "SolveContext",
     "normalize_method",
     "closed_form_mttdl",
     "evaluate_chunk",
     "mttdl_batched",
-    "prepare_point",
+    "prepare_groups",
     "solve_grouped",
 ]
+
+#: A binding environment: a scalar or a per-point column per parameter.
+Env = Dict[str, Any]
 
 #: Public method names of the unified API mapped to their canonical form;
 #: the pre-engine "exact"/"approx" spellings are accepted as aliases.
@@ -126,73 +147,165 @@ class SolveContext:
         return self.specs.hashes()
 
 
-def _array_rates_for(
-    config: Configuration,
-    params: Parameters,
+def _array_rates(
+    level: InternalRaid,
+    source: Union[Parameters, ParameterColumns],
+    members: Sequence[Parameters],
     ctx: SolveContext,
     rates_method: str = "approx",
 ) -> ArrayRates:
-    """Memoized ``rates(rates_method)`` of the internal array model.
+    """Memoized ``rates(rates_method)`` of the internal array model, for
+    one point (``source`` is its :class:`Parameters`) or for a column of
+    points (``source`` is their :class:`ParameterColumns`).
 
     The rates (and the array MTTDL they carry) are functions of exactly
     ``(level, d, lambda_d, mu_d, C*HER)``; keying on those scalars plus
     the derivation method makes the memo exact — identical inputs give
     identical outputs, so a hit returns the same floats a fresh
-    computation would.
+    computation would.  Each member counts one lookup, as if the points
+    were looked up one by one; a column's rates come back as columns.
     """
-    arr = array_model(params, config.internal)
-    key = (
-        config.internal,
-        params.drives_per_node,
-        params.drive_failure_rate,
-        arr.restripe_rate,
-        params.hard_error_per_drive_read,
-        rates_method,
+    parts = (
+        source.drives_per_node,
+        source.drive_failure_rate,
+        RebuildModel(source).restripe_rate(),
+        source.hard_error_per_drive_read,
     )
-    rates = ctx.array_rates.get(key)
-    if rates is None:
-        rates = arr.rates(rates_method)
-        ctx.array_rates[key] = rates
-        ctx.array_misses += 1
-    else:
-        ctx.array_hits += 1
-    return rates
+    size = len(members)
+    columns = [
+        part.tolist() if isinstance(part, np.ndarray) else [part] * size
+        for part in parts
+    ]
+    per_point = [(level, *row, rates_method) for row in zip(*columns)]
+    found: Dict[Hashable, ArrayRates] = {}
+    hits = 0
+    for member, key in zip(members, per_point):
+        if key in found:
+            hits += 1
+            continue
+        rates = ctx.array_rates.get(key)
+        if rates is None:
+            rates = array_model(member, level).rates(rates_method)
+            ctx.array_rates[key] = rates
+            ctx.array_misses += 1
+        else:
+            hits += 1
+        found[key] = rates
+    ctx.array_hits += hits
+    if len(found) == 1:
+        (rates,) = found.values()
+        return rates
+    ordered = [found[key] for key in per_point]
+    return ArrayRates(
+        np.array([r.array_failure_rate for r in ordered]),
+        np.array([r.restripe_sector_loss_rate for r in ordered]),
+        lambda: np.array([r.mttdl_hours for r in ordered]),
+    )
 
 
 def _spec_and_env(
     config: Configuration,
-    params: Parameters,
+    source: Union[Parameters, ParameterColumns],
+    members: Sequence[Parameters],
     ctx: SolveContext,
     rates_method: str = "approx",
-) -> Tuple[ModelSpec, Dict[str, float]]:
-    """The (spec, binding environment) for one point, via the array memo."""
+) -> Tuple[ModelSpec, Env]:
+    """The (spec, binding environment) of one configuration's points
+    (``members``), computed once over ``source``: their columns, or the
+    single member's own :class:`Parameters`."""
     if config.internal is InternalRaid.NONE:
-        model = config.model(params)
+        model = config.model(source)
     else:
         model = InternalRaidNodeModel(
-            params,
+            source,
             config.internal,
             config.node_fault_tolerance,
-            array_rates=_array_rates_for(config, params, ctx, rates_method),
+            array_rates=_array_rates(
+                config.internal, source, members, ctx, rates_method
+            ),
         )
     return model.spec(), model.chain_env()
 
 
-def prepare_point(
-    config: Configuration,
-    params: Parameters,
+class PreparedGroup(NamedTuple):
+    """Points sharing one compiled chain, ready to bind in one pass.
+
+    ``env`` holds a scalar or a column per spec parameter (every column
+    in ``members`` order); ``members`` are the points' positions in the
+    sequence given to :func:`prepare_groups`.
+    """
+
+    compiled: CompiledChain
+    env: Env
+    members: List[int]
+
+
+def prepare_groups(
+    points: Sequence[Tuple[Configuration, Parameters]],
     ctx: SolveContext,
     rates_method: str = "approx",
-) -> Tuple[CompiledChain, Dict[str, float]]:
-    """The (compiled chain, binding environment) for one analytic point.
+) -> List[PreparedGroup]:
+    """Group analytic points by compiled chain, with columnar environments.
 
-    Model construction, the array-rates memo and spec compilation all
-    happen here; the returned pair feeds :func:`solve_grouped` (points
-    sharing a :attr:`~repro.core.spec.CompiledChain.spec_hash` can be
-    solved as one group).
+    Points are grouped by configuration and each group's environment is
+    computed once over its parameter columns; configurations whose
+    chains share a spec hash (internal RAID 5 and 6 at one tolerance)
+    are stacked into one group.  Spec compilation, the array-rates memo
+    and env validation all happen here; each group feeds one
+    :func:`solve_grouped` (or one ``bind_batch``), and every bound chain
+    is bitwise the chain ``config.model(params).chain()`` builds.
     """
-    spec, env = _spec_and_env(config, params, ctx, rates_method)
-    return ctx.specs.get_or_compile(spec), env
+    by_config: Dict[Configuration, List[int]] = {}
+    for i, (config, _) in enumerate(points):
+        by_config.setdefault(config, []).append(i)
+    # Configurations over the same points (the usual sweep and grid
+    # shape) share one set of columns.
+    columns: Dict[Tuple[int, ...], ParameterColumns] = {}
+    by_hash: Dict[str, Tuple[CompiledChain, List[Env], List[List[int]]]] = {}
+    for config, members in by_config.items():
+        params = [points[i][1] for i in members]
+        source: Union[Parameters, ParameterColumns]
+        if len(params) == 1:
+            # One point binds from its own scalars, the arithmetic
+            # ``repro.evaluate`` runs.
+            source = params[0]
+        else:
+            ids = tuple(map(id, params))
+            shared = columns.get(ids)
+            if shared is None:
+                shared = columns[ids] = ParameterColumns(params)
+            source = shared
+        spec, env = _spec_and_env(config, source, params, ctx, rates_method)
+        compiled = ctx.specs.get_or_compile(spec)
+        _, envs, parts = by_hash.setdefault(
+            compiled.spec_hash, (compiled, [], [])
+        )
+        envs.append(env)
+        parts.append(members)
+    return [
+        PreparedGroup(
+            compiled,
+            _stack_envs(envs, [len(part) for part in parts]),
+            [i for part in parts for i in part],
+        )
+        for compiled, envs, parts in by_hash.values()
+    ]
+
+
+def _stack_envs(envs: Sequence[Env], sizes: Sequence[int]) -> Env:
+    """One environment for consecutive runs of points (``sizes[j]``
+    points bind from ``envs[j]``); scalars broadcast to their run."""
+    if len(envs) == 1 and (
+        sizes[0] == 1
+        or any(isinstance(v, np.ndarray) for v in envs[0].values())
+    ):
+        return envs[0]
+    return {
+        name: np.concatenate(
+            [np.broadcast_to(env[name], (size,)) for env, size in zip(envs, sizes)]
+        )
+        for name in envs[0]
+    }
 
 
 def closed_form_mttdl(
@@ -205,76 +318,42 @@ def closed_form_mttdl(
         params,
         config.internal,
         config.node_fault_tolerance,
-        array_rates=_array_rates_for(config, params, ctx),
+        array_rates=_array_rates(config.internal, params, [params], ctx),
     )
     return model.mttdl_approx()
 
 
-def _bind_group(
-    compiled: CompiledChain, envs: Sequence[Dict[str, float]]
-) -> List[CTMC]:
-    """Bind one pre-grouped batch (every env shares ``compiled``'s spec).
-
-    A single point binds scalar; two or more stack into per-parameter
-    arrays and go through one :meth:`CompiledChain.bind_batch` pass,
-    bitwise identical to point-by-point :meth:`CompiledChain.bind`.
+def _bind(compiled: CompiledChain, env: Env) -> List[CTMC]:
+    """Bind one prepared environment: scalars bind one chain, columns
+    one chain per point in a single :meth:`CompiledChain.bind_batch`
+    pass, bitwise identical to point-by-point :meth:`CompiledChain.bind`.
     """
+    points = max(
+        (len(v) for v in env.values() if isinstance(v, np.ndarray)),
+        default=0,
+    )
     with obs.span(
-        "solve.bind", spec=compiled.spec_hash[:12], points=len(envs)
+        "solve.bind", spec=compiled.spec_hash[:12], points=max(points, 1)
     ):
-        if len(envs) == 1:
-            return [compiled.bind(envs[0])]
-        stacked = {
-            name: np.array([env[name] for env in envs])
-            for name in compiled.param_names
-        }
-        return compiled.bind_batch(stacked)
+        if points == 0:
+            return [compiled.bind(env)]
+        return compiled.bind_batch(env)
 
 
 def solve_grouped(
     compiled: CompiledChain,
-    envs: Sequence[Dict[str, float]],
+    env: Env,
     options: Optional[SolveOptions] = None,
 ) -> List[float]:
-    """MTTDL (hours) for a pre-grouped batch sharing one spec hash.
+    """MTTDL (hours) for one prepared group (see :func:`prepare_groups`).
 
-    The batch-solve entry point for callers that have already coalesced
-    their points by :attr:`~repro.core.spec.CompiledChain.spec_hash`
-    (the serving layer's request batcher): the whole group is bound in
-    one :meth:`CompiledChain.bind_batch` pass and handed to the solver
-    strategy interface in one request — under the default (dense)
-    backend, one stacked GTH elimination.  Every returned float is
-    bitwise equal to the point's own scalar bind-and-solve (and
-    therefore to ``config.reliability(params)``).
+    The whole group is bound in one :meth:`CompiledChain.bind_batch`
+    pass and handed to the solver strategy interface in one request —
+    under the default (dense) backend, one stacked GTH elimination.
+    Every returned float is bitwise equal to the point's own scalar
+    bind-and-solve (and therefore to ``config.reliability(params)``).
     """
-    return mttdl_batched(_bind_group(compiled, envs), options)
-
-
-def _bind_all(
-    compiled_chains: Sequence[CompiledChain],
-    envs: Sequence[Dict[str, float]],
-) -> List[CTMC]:
-    """Bind every (compiled chain, environment) pair, stacking shared shapes.
-
-    Points with the same spec hash are bound in one
-    :meth:`CompiledChain.bind_batch` pass — per-parameter scalar
-    environments stack into arrays and the rate tensor for the whole
-    group is evaluated at once, bitwise identical to point-by-point
-    :meth:`CompiledChain.bind`.
-    """
-    chains: List[Optional[CTMC]] = [None] * len(envs)
-    groups: Dict[str, List[int]] = {}
-    by_hash: Dict[str, CompiledChain] = {}
-    for i, compiled in enumerate(compiled_chains):
-        groups.setdefault(compiled.spec_hash, []).append(i)
-        by_hash[compiled.spec_hash] = compiled
-    for spec_hash, members in groups.items():
-        compiled = by_hash[spec_hash]
-        for i, chain in zip(
-            members, _bind_group(compiled, [envs[i] for i in members])
-        ):
-            chains[i] = chain
-    return chains  # type: ignore[return-value]
+    return mttdl_batched(_bind(compiled, env), options)
 
 
 def mttdl_batched(
@@ -319,28 +398,24 @@ def evaluate_chunk(
     if options is None:
         options = DEFAULT_SOLVE_OPTIONS
     mttdls: List[Optional[float]] = [None] * len(tasks)
-    bind_compiled: List[CompiledChain] = []
-    bind_envs: List[Dict[str, float]] = []
     chain_slots: List[int] = []
     cf_slots: List[int] = []
     with obs.span("solve.prepare", tasks=len(tasks)):
-        # "prepare" covers per-task model construction and the
-        # array-rates memo; closed-form values are computed later inside
-        # their backend's solve span.
-        for i, (config, params, method) in enumerate(tasks):
+        # "prepare" covers the columnar env build, spec compilation and
+        # the array-rates memo; closed-form values are computed later
+        # inside their backend's solve span.
+        for i, (_, _, method) in enumerate(tasks):
             if method == "closed_form":
                 cf_slots.append(i)
             elif method == "analytic":
-                compiled, env = prepare_point(
-                    config, params, ctx, options.rates_method
-                )
-                bind_compiled.append(compiled)
-                bind_envs.append(env)
                 chain_slots.append(i)
             else:
                 raise ValueError(
                     f"evaluate_chunk cannot handle method {method!r}"
                 )
+        groups = prepare_groups(
+            [tasks[i][:2] for i in chain_slots], ctx, options.rates_method
+        )
     if cf_slots:
         cf_tasks = [tasks[i] for i in cf_slots]
         cf_options = (
@@ -361,7 +436,10 @@ def evaluate_chunk(
         for i, mttdl in zip(cf_slots, result.values):
             mttdls[i] = mttdl
     if chain_slots:
-        chains = _bind_all(bind_compiled, bind_envs)
+        chains: List[Optional[CTMC]] = [None] * len(chain_slots)
+        for compiled, env, members in groups:
+            for j, chain in zip(members, _bind(compiled, env)):
+                chains[j] = chain
         for i, mttdl in zip(chain_slots, mttdl_batched(chains, options)):
             mttdls[i] = mttdl
     return mttdls  # type: ignore[return-value]

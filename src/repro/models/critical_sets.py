@@ -11,15 +11,21 @@ computes:
   critical rebuild for nodes *without* internal RAID, for every
   node/drive failure combination (Sections 5.2.2) and, via the appendix's
   dot-operation, for arbitrary fault tolerance ``k``.
+
+:func:`critical_fraction` and :func:`h_parameters` take scalars or
+columns (:class:`~repro.models.parameters.ParameterColumns`) alike; the
+column forms are bitwise equal to the per-point values.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, Tuple
+from typing import Any, Dict
 
-from .parameters import Parameters
+import numpy as np
+
+from .parameters import Parameters, elementwise_max, per_value
 
 __all__ = [
     "critical_fraction",
@@ -45,7 +51,7 @@ def redundancy_sets_per_node(n: int, r: int) -> int:
     return math.comb(n - 1, r - 1)
 
 
-def critical_fraction(n: int, r: int, failures: int) -> float:
+def critical_fraction(n: Any, r: Any, failures: int) -> Any:
     """Fraction of one failed node's redundancy sets shared with all the
     other ``failures - 1`` failed nodes.
 
@@ -64,7 +70,12 @@ def critical_fraction(n: int, r: int, failures: int) -> float:
         n: node set size N.
         r: redundancy set size R.
         failures: number of concurrent failed nodes (>= 1).
+
+    ``n`` and ``r`` may be columns: the exact big-integer ratio is then
+    taken once per distinct ``(n, r)`` pair.
     """
+    if isinstance(n, np.ndarray) or isinstance(r, np.ndarray):
+        return per_value(lambda a, b: critical_fraction(a, b, failures), n, r)
     _check_sizes(n, r)
     if failures < 1:
         raise ValueError("failures must be >= 1")
@@ -134,32 +145,49 @@ def h_parameter(params: Parameters, word: str) -> float:
         raise ValueError("failure word must be non-empty")
     if any(c not in "Nd" for c in word):
         raise ValueError(f"failure word may only contain 'N' and 'd': {word!r}")
-    k = len(word)
-    n = params.node_set_size
-    r = params.redundancy_set_size
-    d = params.drives_per_node
-    base = params.hard_error_per_drive_read
-    for i in range(1, k + 1):
-        base *= max(r - i, 0)
-    for i in range(1, k):
-        base /= (n - i)
-    num_drive_failures = word.count("d")
-    return base * d ** (1 - num_drive_failures)
+    return _h_word(_h_base(params, len(word)), params.drives_per_node, word)
 
 
-def h_parameters(params: Parameters, fault_tolerance: int) -> Dict[str, float]:
+def h_parameters(params: Parameters, fault_tolerance: int) -> Dict[str, Any]:
     """All ``2^k`` h-parameters for fault tolerance ``k``.
 
     Returned in the appendix's reverse-lexicographic convention: keys are
-    all words of length ``k`` over {N, d}, values per :func:`h_parameter`.
+    all words of length ``k`` over {N, d}, values per :func:`h_parameter`
+    (columns when ``params`` is a
+    :class:`~repro.models.parameters.ParameterColumns`).
     """
     if fault_tolerance < 1:
         raise ValueError("fault_tolerance must be >= 1")
-    words = (
-        "".join(letters)
-        for letters in itertools.product("Nd", repeat=fault_tolerance)
-    )
-    return {w: h_parameter(params, w) for w in words}
+    base = _h_base(params, fault_tolerance)
+    d = params.drives_per_node
+    return {
+        word: _h_word(base, d, word)
+        for word in (
+            "".join(letters)
+            for letters in itertools.product("Nd", repeat=fault_tolerance)
+        )
+    }
+
+
+def _h_base(params: Parameters, k: int) -> Any:
+    """``C HER (R-1)...(R-k) / ((N-1)...(N-k+1))``, shared by all words."""
+    n = params.node_set_size
+    r = params.redundancy_set_size
+    base = params.hard_error_per_drive_read
+    for i in range(1, k + 1):
+        base = base * elementwise_max(r - i, 0)
+    for i in range(1, k):
+        base = base / (n - i)
+    return base
+
+
+def _h_word(base: Any, d: Any, word: str) -> Any:
+    """``base * d^(1 - #d)``; a negative power of a ``d`` column is taken
+    per distinct ``d``, as the scalar ``int ** int`` does it."""
+    exponent = 1 - word.count("d")
+    if exponent < 0 and isinstance(d, np.ndarray):
+        return base * per_value(lambda v: v**exponent, d)
+    return base * d**exponent
 
 
 def _check_sizes(n: int, r: int) -> None:

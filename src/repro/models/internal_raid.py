@@ -118,7 +118,11 @@ class InternalRaidNodeModel:
     """MTTDL model for [internal RAID x node fault tolerance t].
 
     Args:
-        params: system parameters.
+        params: system parameters, or a
+            :class:`~repro.models.parameters.ParameterColumns` (with an
+            ``array_rates`` override of matching columns), for which
+            :meth:`chain_env` returns every member's environment as
+            columns.
         raid_level: :attr:`InternalRaid.RAID5` or :attr:`InternalRaid.RAID6`.
         fault_tolerance: cross-node erasure-code tolerance t >= 1.
 

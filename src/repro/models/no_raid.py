@@ -253,7 +253,9 @@ class NoRaidNodeModel:
 
     For arbitrary ``t`` use :class:`repro.models.recursive.RecursiveNoRaidModel`;
     this class transcribes the figures directly and is the ground truth the
-    recursion is tested against.
+    recursion is tested against.  ``params`` may be a
+    :class:`~repro.models.parameters.ParameterColumns`, for which
+    :meth:`chain_env` returns every member's environment as columns.
     """
 
     def __init__(

@@ -28,9 +28,22 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Any, Dict
+from typing import Any, Callable, Dict, Sequence
 
-__all__ = ["Parameters", "ParameterError", "GB", "MB", "KB", "HOURS_PER_YEAR"]
+import numpy as np
+
+__all__ = [
+    "Parameters",
+    "ParameterColumns",
+    "ParameterError",
+    "GB",
+    "MB",
+    "KB",
+    "HOURS_PER_YEAR",
+    "elementwise_max",
+    "elementwise_min",
+    "per_value",
+]
 
 KB = 1024
 MB = 10**6
@@ -260,7 +273,87 @@ class Parameters:
         return digest
 
 
-
-
 #: Every field, in declaration order (the finiteness check walks them).
 _FIELD_NAMES = tuple(f.name for f in dataclasses.fields(Parameters))
+
+#: Fields declared ``int`` (the node, redundancy-set and drive counts).
+_INT_FIELDS = frozenset(
+    f.name for f in dataclasses.fields(Parameters) if f.type in (int, "int")
+)
+
+
+class ParameterColumns:
+    """Many :class:`Parameters` as columns: one value per field.
+
+    A field every member shares stays the member's own Python scalar, so
+    arithmetic on it is exactly the scalar arithmetic; a field that
+    varies becomes a numpy array (the count fields keep their integer
+    dtype, every other field is ``float64``).  The derived rates are
+    :class:`Parameters`' own properties, and the rebuild, ``h``-word and
+    critical-fraction formulas accept either form, so one model object
+    built over columns yields every member's binding environment at once,
+    each column bitwise equal to the scalar value (integer-valued float
+    fields and their pairwise products must stay below 2**53, which
+    every physical parameter set does).
+
+    Example:
+        >>> cols = ParameterColumns([Parameters(), Parameters(node_set_size=32)])
+        >>> cols.node_set_size.tolist(), cols.drives_per_node
+        ([64, 32], 12)
+    """
+
+    def __init__(self, members: Sequence[Parameters]) -> None:
+        rows = [member.__dict__ for member in members]
+        for name in _FIELD_NAMES:
+            values = [row[name] for row in rows]
+            first = values[0]
+            if values.count(first) == len(values) and len(
+                set(map(type, values))
+            ) == 1:
+                column: Any = first
+            elif name in _INT_FIELDS:
+                column = np.array(values)
+            else:
+                column = np.array(values, dtype=float)
+            setattr(self, name, column)
+
+    node_failure_rate = Parameters.node_failure_rate
+    drive_failure_rate = Parameters.drive_failure_rate
+    hard_error_per_drive_read = Parameters.hard_error_per_drive_read
+    drive_data_bytes = Parameters.drive_data_bytes
+    node_data_bytes = Parameters.node_data_bytes
+    link_sustained_bytes_per_sec = Parameters.link_sustained_bytes_per_sec
+
+
+# --------------------------------------------------------------------- #
+# arithmetic on scalars and columns alike
+# --------------------------------------------------------------------- #
+
+
+def elementwise_min(a: Any, b: Any) -> Any:
+    """``min(a, b)`` for scalars, :func:`numpy.minimum` for columns."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.minimum(a, b)
+    return min(a, b)
+
+
+def elementwise_max(a: Any, b: Any) -> Any:
+    """``max(a, b)`` for scalars, :func:`numpy.maximum` for columns."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.maximum(a, b)
+    return max(a, b)
+
+
+def per_value(fn: Callable[..., Any], *columns: Any) -> Any:
+    """``fn(*columns)`` for scalars; for columns, ``fn`` runs once per
+    distinct combination of Python scalars and the results broadcast
+    back, for arithmetic numpy cannot reproduce bit for bit (big-integer
+    ``math.comb``, ``int ** negative``)."""
+    if not any(isinstance(c, np.ndarray) for c in columns):
+        return fn(*columns)
+    keys = list(zip(*(a.tolist() for a in np.broadcast_arrays(*columns))))
+    memo: Dict[Any, Any] = {}
+    for key in keys:
+        if key not in memo:
+            memo[key] = fn(*key)
+    return np.array([memo[key] for key in keys])

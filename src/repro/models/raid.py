@@ -70,7 +70,8 @@ class ArrayRates:
         restripe_sector_loss_rate: lambda_S, hard-error losses during
             re-stripes per hour.
         mttdl_source: the array's own MTTDL, or a zero-argument callable
-            that computes it.  Node-level models never read it, so the
+            that computes it.  (The sweep engine also builds ArrayRates
+            whose three values are per-point columns.)  Node-level models never read it, so the
             approximate rates pass the array chain's solve here and it
             runs only if :attr:`mttdl_hours` is read.  Not part of
             equality or hashing.

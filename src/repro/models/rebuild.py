@@ -29,13 +29,19 @@ An internal-RAID *re-stripe* is node-local: the array is rewritten onto
 the surviving ``d-1`` drives, so it reads and writes the node's data once
 each through the node's own disks using the (larger) re-stripe command
 size.
+
+The recovery operations and their rates read their inputs as
+attributes of ``params``, so a
+:class:`~repro.models.parameters.ParameterColumns` in place of a
+:class:`~repro.models.parameters.Parameters` yields whole columns of
+rates, bitwise equal to the per-point values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .parameters import Parameters
+from .parameters import Parameters, elementwise_max, elementwise_min
 
 __all__ = ["RebuildModel", "TransferBreakdown"]
 
@@ -59,7 +65,7 @@ class TransferBreakdown:
 
     @property
     def total_seconds(self) -> float:
-        return max(self.disk_seconds, self.network_seconds)
+        return elementwise_max(self.disk_seconds, self.network_seconds)
 
     @property
     def total_hours(self) -> float:
@@ -104,14 +110,18 @@ class RebuildModel:
         less than half its 40 MB/s streaming rate.
         """
         p = self._p
-        raw = min(p.drive_max_iops * p.rebuild_command_bytes, p.drive_sustained_bps)
+        raw = elementwise_min(
+            p.drive_max_iops * p.rebuild_command_bytes, p.drive_sustained_bps
+        )
         return raw * p.rebuild_bandwidth_fraction
 
     def drive_restripe_bandwidth(self) -> float:
         """Bytes/second one drive contributes to an internal re-stripe
         (uses the re-stripe command size)."""
         p = self._p
-        raw = min(p.drive_max_iops * p.restripe_command_bytes, p.drive_sustained_bps)
+        raw = elementwise_min(
+            p.drive_max_iops * p.restripe_command_bytes, p.drive_sustained_bps
+        )
         return raw * p.rebuild_bandwidth_fraction
 
     def node_disk_bandwidth(self, command_bytes: float) -> float:
@@ -145,7 +155,7 @@ class RebuildModel:
         self._check_ft(fault_tolerance)
         p = self._p
         share = self._surviving_share()
-        read_elements = max(p.redundancy_set_size - fault_tolerance, 1)
+        read_elements = elementwise_max(p.redundancy_set_size - fault_tolerance, 1)
         disk_bytes = (read_elements + 1) * share * p.node_data_bytes
         network_bytes_per_direction = read_elements * share * p.node_data_bytes
         disk_bw = p.drives_per_node * self.drive_rebuild_bandwidth()
@@ -163,7 +173,7 @@ class RebuildModel:
         self._check_ft(fault_tolerance)
         p = self._p
         share = self._surviving_share()
-        read_elements = max(p.redundancy_set_size - fault_tolerance, 1)
+        read_elements = elementwise_max(p.redundancy_set_size - fault_tolerance, 1)
         disk_bytes = (read_elements + 1) * share * p.drive_data_bytes
         network_bytes_per_direction = read_elements * share * p.drive_data_bytes
         disk_bw = p.drives_per_node * self.drive_rebuild_bandwidth()

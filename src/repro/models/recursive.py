@@ -31,7 +31,7 @@ from ..core.spec import ModelSpec
 from .critical_sets import h_parameters
 from .parameters import Parameters
 from .rebuild import RebuildModel
-from .specs import compiled, recursive_env, recursive_spec
+from .specs import check_node_count, compiled, recursive_env, recursive_spec
 
 __all__ = [
     "build_recursive_chain",
@@ -290,7 +290,10 @@ class RecursiveNoRaidModel:
     """No-internal-RAID model for arbitrary cross-node fault tolerance.
 
     Args:
-        params: system parameters.
+        params: system parameters, or a
+            :class:`~repro.models.parameters.ParameterColumns`, for which
+            :meth:`chain_env` returns every member's environment as
+            columns.
         fault_tolerance: k >= 1 (the chain has ``2^(k+1) - 1`` states, so
             stay modest; k = 10 is ~2000 states and solves in milliseconds).
         rebuild: optional shared rebuild model.
@@ -304,8 +307,7 @@ class RecursiveNoRaidModel:
     ) -> None:
         if fault_tolerance < 1:
             raise ValueError("fault_tolerance must be >= 1")
-        if params.node_set_size <= fault_tolerance:
-            raise ValueError("node set must be larger than the fault tolerance")
+        check_node_count(params.node_set_size, fault_tolerance)
         self._params = params
         self._t = fault_tolerance
         self._rebuild = rebuild if rebuild is not None else RebuildModel(params)

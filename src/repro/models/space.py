@@ -30,7 +30,6 @@ silent-skip semantics.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -361,22 +360,31 @@ class SearchSpace:
 
         Each axis combination is resolved once and its (frozen)
         parameter set shared by every configuration's point; only the
-        ``R <= t`` guard depends on the configuration.
+        ``R <= t`` guard depends on the configuration.  Combinations are
+        derived prefix by prefix (axis 1 applied to the base, axis 2 to
+        each result, and so on), so each prefix is validated once, and a
+        prefix the parameter model rejects skips every combination under
+        it.
         """
         self.validate(base)
-        resolved: List[Optional[Tuple[Coords, Parameters]]] = []
-        for combo in itertools.product(*(axis.values for axis in self.axes)):
-            params = base
-            try:
-                for axis, value in zip(self.axes, combo):
-                    params = axis.apply(params, value)
-            except (ParameterError, ValueError):
-                resolved.append(None)
-                continue
-            coords = tuple(
-                (axis.name, value) for axis, value in zip(self.axes, combo)
-            )
-            resolved.append((coords, params))
+        resolved: List[Optional[Tuple[Coords, Parameters]]] = [((), base)]
+        for axis in self.axes:
+            extended: List[Optional[Tuple[Coords, Parameters]]] = []
+            for entry in resolved:
+                if entry is None:
+                    extended.extend([None] * len(axis.values))
+                    continue
+                coords, params = entry
+                for value in axis.values:
+                    try:
+                        derived = axis.apply(params, value)
+                    except (ParameterError, ValueError):
+                        extended.append(None)
+                    else:
+                        extended.append(
+                            (coords + ((axis.name, value),), derived)
+                        )
+            resolved = extended
         points: List[SpacePoint] = []
         skipped = 0
         for config in self.configs.configurations():

@@ -61,6 +61,7 @@ __all__ = [
     "all_family_specs",
     "spec_for_key",
     "spec_hash_index",
+    "check_node_count",
 ]
 
 # Absorbing-state labels; textual duplicates of the constants in
@@ -340,8 +341,7 @@ def internal_raid_env(
     """Binding environment for :func:`internal_raid_spec`."""
     if fault_tolerance < 1:
         raise ValueError("fault_tolerance must be >= 1")
-    if np.any(np.asarray(n) <= fault_tolerance):
-        raise ValueError("node set must be larger than the fault tolerance")
+    check_node_count(n, fault_tolerance)
     return {
         "n": n,
         "lambda_N": node_failure_rate,
@@ -543,17 +543,21 @@ def spec_hash_index(max_fault_tolerance: int = 3) -> Dict[str, str]:
 # --------------------------------------------------------------------- #
 
 
-def _check_nodes(n: Value, d: Value, t: int) -> None:
-    # Scalar fast path: the serving hot loop binds one point at a time,
-    # and ndarray coercion is ~10x the cost of the comparison itself.
-    if isinstance(n, (int, float)) and isinstance(d, (int, float)):
-        if n <= t:
-            raise ValueError("node set must be larger than the fault tolerance")
-        if d < 1:
-            raise ValueError("need at least one drive per node")
+def check_node_count(n: Value, t: int) -> None:
+    """Reject a node set (scalar or column) no larger than the fault
+    tolerance ``t``."""
+    # Scalar fast path: single-point binds dominate, and ndarray coercion
+    # is ~10x the cost of the comparison itself.
+    if isinstance(n, (int, float)) and n > t:
         return
     if np.any(np.asarray(n) <= t):
         raise ValueError("node set must be larger than the fault tolerance")
+
+
+def _check_nodes(n: Value, d: Value, t: int) -> None:
+    check_node_count(n, t)
+    if isinstance(d, (int, float)) and d >= 1:
+        return
     if np.any(np.asarray(d) < 1):
         raise ValueError("need at least one drive per node")
 

@@ -36,7 +36,7 @@ from ..core.solvers import solve as _core_solve
 from ..engine.solver import (
     SolveContext,
     closed_form_mttdl,
-    prepare_point,
+    prepare_groups,
     solve_grouped,
 )
 from ..models.configurations import Configuration
@@ -276,24 +276,27 @@ def _solve_batch(
                     continue
             try:
                 if method == "analytic":
-                    compiled = None
-                    envs = []
-                    for i in members:
-                        c, env = prepare_point(
-                            tasks[i].config,
-                            tasks[i].params,
-                            ctx,
-                            options.rates_method,
-                        )
-                        compiled = c
-                        envs.append(env)
+                    prepared = prepare_groups(
+                        [(tasks[i].config, tasks[i].params) for i in members],
+                        ctx,
+                        options.rates_method,
+                    )
+                    members = [
+                        members[j] for group in prepared for j in group.members
+                    ]
                     with obs.span(
                         "serve.batch.solve",
                         method=method,
                         spec=spec_hash[:12],
                         points=len(members),
                     ):
-                        solved = solve_grouped(compiled, envs, options)
+                        solved = [
+                            mttdl
+                            for group in prepared
+                            for mttdl in solve_grouped(
+                                group.compiled, group.env, options
+                            )
+                        ]
                 else:
                     cf_options = (
                         options

@@ -287,6 +287,44 @@ class TestAdvise:
             result.recommended.tie_rank,
         ) == best
 
+    def test_duplicate_vectors_keep_the_eagerly_ranked_member(self):
+        # Rebuilds are disk-bound at every link speed here and the network
+        # is free, so points differing only in link speed tie exactly on
+        # all three objectives; each frontier member must be the lowest
+        # eagerly hashed rank among the feasible points sharing its vector.
+        request = AdviseRequest(
+            space=SearchSpace(
+                configs=ConfigSpace(fault_tolerances=(1, 2)),
+                axes=(
+                    ParamAxis("redundancy_set_size", (6, 8)),
+                    ParamAxis("link_speed_bps", (10e9, 20e9, 40e9)),
+                ),
+            ),
+            cost_model=CostModel(network_cost_per_gbps_year=0.0),
+            seed=11,
+        )
+        eager = {}
+        for point in request.space.enumerate(BASE):
+            result = repro.evaluate(point.config, point.params)
+            if not result.events_per_pb_year < request.target_events_per_pb_year:
+                continue
+            cost = request.cost_model.breakdown(point.config, point.params)
+            vec = (cost.total, result.events_per_pb_year, cost.storage_overhead)
+            material = (
+                f"{request.seed}:{point.config.key}:{point.params.cache_key()}"
+            )
+            eager.setdefault(vec, []).append(
+                (hashlib.sha256(material.encode()).hexdigest(), point)
+            )
+        assert any(len(members) == 3 for members in eager.values())
+        result = advise(request)
+        assert result.frontier
+        for candidate in result.frontier:
+            rank, point = min(eager[candidate.objectives], key=lambda m: m[0])
+            assert candidate.tie_rank == rank
+            assert candidate.config == point.config
+            assert candidate.params == point.params
+
     def test_shared_engine_matches_fresh_engine(self):
         request = AdviseRequest(space=SMALL_SPACE)
         engine = SweepEngine(base_params=BASE, jobs=1, cache=False)

@@ -43,6 +43,12 @@ def test_import_repro_leaves_process_runtime_unloaded():
     assert _loaded_after_import(unwanted) == []
 
 
+def test_import_repro_leaves_scipy_unloaded():
+    # scipy's import costs about as much as numpy's; only the transient
+    # solve (``CTMC.transient_distribution``) needs it, and it loads it.
+    assert _loaded_after_import({"scipy"}) == []
+
+
 def _imported_modules(path, package):
     """Absolute names of every module ``path`` imports, lazy imports
     inside functions included (``package`` resolves relative ones)."""
