@@ -22,7 +22,7 @@ Quickstart::
 
 Sweeps run through the engine::
 
-    engine = repro.SweepEngine(cache=True)
+    engine = repro.SweepEngine()
     results = engine.evaluate_many(
         [(c, params) for c in repro.ALL_CONFIGURATIONS]
     )

@@ -272,7 +272,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     with session if session is not None else contextlib.nullcontext():
         from ..engine import SweepEngine
 
-        engine = SweepEngine(base_params=base, cache=False)
+        engine = SweepEngine(base_params=base)
         try:
             result = advise(request, base_params=base, engine=engine)
         except SpaceError as exc:

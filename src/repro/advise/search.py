@@ -188,7 +188,6 @@ class AdviseResult:
             ),
             "provenance": {
                 "method": prov.method,
-                "cache_enabled": prov.cache_enabled,
                 "spec_hits": prov.spec_hits,
                 "spec_misses": prov.spec_misses,
                 "spec_hit_rate": (
@@ -280,7 +279,7 @@ def advise(
     """
     started = time.perf_counter()
     if engine is None:
-        engine = SweepEngine(base_params=base_params, cache=False)
+        engine = SweepEngine(base_params=base_params)
     base = base_params if base_params is not None else engine.base_params
     registry = obs.global_metrics()
     registry.counter("advise.requests").inc()
@@ -305,16 +304,17 @@ def advise(
                 method=request.method,
             )
         with obs.span("advise.cost"):
-            # Only feasible points can reach the frontier; Candidates are
-            # built for frontier members alone.
+            # Only feasible points can reach the frontier; only points
+            # that meet the target are priced, and Candidates are built
+            # for frontier members alone.
             feasible: List[_Feasible] = []
             for point, result in zip(admissible, results):
-                cost = request.cost_model.breakdown(point.config, point.params)
                 if not (
                     result.events_per_pb_year
                     < request.target_events_per_pb_year
                 ):
                     continue
+                cost = request.cost_model.breakdown(point.config, point.params)
                 if (
                     request.max_annual_cost is not None
                     and cost.total > request.max_annual_cost

@@ -6,14 +6,14 @@ Installed as ``repro-figures``::
     repro-figures 13 17         # selected figures
     repro-figures --fig 13      # same, flag spelling (repeatable)
     repro-figures --approx      # use the paper's closed forms
-    repro-figures --no-cache    # skip the on-disk result cache
-    repro-figures --verbose     # report cache/compiled-spec hit rates
+    repro-figures --verbose     # report compiled-spec/memo hit rates
 
     repro-figures --fig 13 --trace run.jsonl --report
                                  # JSONL span trace + per-phase timing tree
 
-The sensitivity figures run through :class:`repro.engine.SweepEngine`;
-results are bitwise identical with the cache and tracing on or off.
+The sensitivity figures run through :class:`repro.engine.SweepEngine`,
+all requested figures in one batch; results are bitwise identical with
+tracing on or off.
 """
 
 from __future__ import annotations
@@ -32,29 +32,10 @@ from ..cli_common import (
 from ..engine.sweep import SweepEngine
 from ..models.parameters import Parameters
 from .baseline import baseline_figure, run_baseline
-from .figures import (
-    figure14_drive_mttf,
-    figure15_node_mttf,
-    figure16_rebuild_block_size,
-    figure17_link_speed,
-    figure18_node_set_size,
-    figure19_redundancy_set_size,
-    figure20_drives_per_node,
-)
+from .figures import FIGURES, sensitivity_figures
 from .report import format_figure
 
 __all__ = ["main"]
-
-_FIGURES = {
-    14: figure14_drive_mttf,
-    15: figure15_node_mttf,
-    16: figure16_rebuild_block_size,
-    17: figure17_link_speed,
-    18: figure18_node_set_size,
-    19: figure19_redundancy_set_size,
-    20: figure20_drives_per_node,
-}
-
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
@@ -100,14 +81,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         "or --set drive_mttf_hours=750000 (repeatable)",
     )
     parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="skip the on-disk result cache (.repro_cache/)",
-    )
-    parser.add_argument(
         "--verbose",
         action="store_true",
-        help="report cache and compiled-spec hit rates on stderr",
+        help="report compiled-spec and array-memo hit rates on stderr",
     )
     add_observability_arguments(parser)
     args = parser.parse_args(argv)
@@ -115,27 +91,30 @@ def main(argv: Optional[List[str]] = None) -> int:
     method = "approx" if args.approx else "exact"
     wanted = list(args.figures) + list(args.fig)
     if not wanted:
-        wanted = [13] + sorted(_FIGURES)
-    unknown = [f for f in wanted if f != 13 and f not in _FIGURES]
+        wanted = [13] + sorted(FIGURES)
+    unknown = [f for f in wanted if f != 13 and f not in FIGURES]
     if unknown:
         parser.error(f"unknown figures: {unknown}; choose from 13-20")
 
     params = apply_param_overrides(Parameters.baseline(), args.set, parser.error)
 
-    engine = SweepEngine(params, cache=not args.no_cache, method=method)
+    engine = SweepEngine(params, method=method)
     session = observed_session(args, root="repro-figures")
     with session if session is not None else contextlib.nullcontext():
         if session is not None:
             session.add_metrics_source(engine.metrics_snapshot)
-        figures = []
-        for number in wanted:
-            with obs.span(f"figure.{number}", figure=number):
-                if number == 13:
-                    figures.append(baseline_figure(run_baseline(params, method)))
-                else:
-                    figures.append(
-                        _FIGURES[number](params, method=method, engine=engine)
-                    )
+        by_number = {}
+        if 13 in wanted:
+            with obs.span("figure.13", figure=13):
+                by_number[13] = baseline_figure(run_baseline(params, method))
+        swept = [n for n in dict.fromkeys(wanted) if n != 13]
+        if swept:
+            # Every sensitivity figure's points in one engine batch.
+            with obs.span("figures.sensitivity", figures=len(swept)):
+                chosen = [FIGURES[n] for n in swept]
+                results = sensitivity_figures(chosen, params, method, engine)
+            by_number.update(zip(swept, results))
+        figures = [by_number[number] for number in wanted]
 
         with obs.span("figures.render", format=args.format):
             if args.format == "json":

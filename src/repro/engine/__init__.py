@@ -1,10 +1,11 @@
 """repro.engine — the memoized sweep engine.
 
 The engine evaluates batches of (configuration, parameters) points
-in-process with compiled-spec memoization, batched GTH solves and an
-optional on-disk result cache, while producing floats bitwise
-identical to the plain point-by-point evaluation.  It also hosts the
-unified :func:`repro.evaluate` facade.
+in-process with compiled-spec memoization and batched GTH solves,
+while producing floats bitwise identical to the plain point-by-point
+evaluation.  It also hosts the unified :func:`repro.evaluate` facade
+and the on-disk :class:`DiskCache` that ``repro-validate`` keeps its
+Monte-Carlo estimates in.
 """
 
 from .cache import DEFAULT_CACHE_DIR, DiskCache
@@ -21,7 +22,7 @@ from .solver import (
     prepare_groups,
     solve_grouped,
 )
-from .sweep import SweepEngine, point_payload_valid
+from .sweep import SweepEngine
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
@@ -38,7 +39,6 @@ __all__ = [
     "mttdl_batched",
     "normalize_method",
     "point_key",
-    "point_payload_valid",
     "prepare_groups",
     "solve_grouped",
     "stable_digest",

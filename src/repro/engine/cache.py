@@ -1,4 +1,8 @@
-"""On-disk JSON result cache for evaluated sweep points.
+"""On-disk JSON result cache for finished Monte-Carlo estimates.
+
+``repro-validate`` keeps its estimates here
+(:func:`repro.sim.monte_carlo.cached_estimate`): a simulation run takes
+minutes, a file read microseconds.
 
 One file per key under the cache directory (default ``.repro_cache/``),
 written atomically (temp file + ``os.replace``) so concurrent workers and

@@ -24,21 +24,17 @@ class EngineProvenance:
     Attributes:
         method: normalized evaluation method ("analytic", "closed_form",
             "monte_carlo").
-        cache_enabled: whether the on-disk result cache participated.
-        cache_hits / cache_misses: disk-cache counters for this run.
-        spec_hits / spec_misses: compiled-spec cache counters (a hit
-            re-binds an already-compiled chain; a miss compiles a spec).
+        spec_hits / spec_misses: this engine's lookups in the
+            process-wide compiled-spec cache (a hit re-binds an
+            already-compiled chain; a miss compiles a spec).
         array_hits / array_misses: internal-array rates memo counters.
         spec_hashes: content hashes of every :class:`~repro.core.spec.
-            ModelSpec` compiled for this result — the exact chain
-            structures the numbers came from.
+            ModelSpec` this engine bound — the exact chain structures
+            the numbers came from.
         engine: engine identifier, e.g. ``"repro.engine/1.0.0"``.
     """
 
     method: str = "analytic"
-    cache_enabled: bool = False
-    cache_hits: int = 0
-    cache_misses: int = 0
     spec_hits: int = 0
     spec_misses: int = 0
     array_hits: int = 0
@@ -47,15 +43,8 @@ class EngineProvenance:
     engine: str = "repro.engine"
 
     def describe(self) -> str:
-        """One-line summary (the ``--verbose`` cache/spec report)."""
+        """One-line summary (the ``--verbose`` spec/memo report)."""
         parts = [f"method={self.method}"]
-        if self.cache_enabled:
-            parts.append(
-                f"disk cache {self.cache_hits} hits / "
-                f"{self.cache_misses} misses"
-            )
-        else:
-            parts.append("disk cache off")
         parts.append(
             f"compiled specs {self.spec_hits} binds / "
             f"{self.spec_misses} compiles ({len(self.spec_hashes)} shapes)"

@@ -3,11 +3,12 @@
 The optimizations over calling :meth:`Configuration.reliability` in a
 loop, none of which changes a single output bit:
 
-* **Compiled specs** — each chain family is compiled once from its
-  declarative :class:`~repro.core.spec.ModelSpec` and re-bound with fresh
-  rates per point; compiled chains are keyed by content (spec hash) in a
-  :class:`~repro.core.spec.CompiledSpecCache`, and the hashes are
-  recorded in sweep provenance.
+* **Compiled specs** — each chain family is compiled once per process
+  from its declarative :class:`~repro.core.spec.ModelSpec` and re-bound
+  with fresh rates per point; compiled chains are keyed by content (spec
+  hash) in the process-wide cache :func:`repro.models.specs.compiled`
+  (the one :func:`repro.evaluate` uses), and the hashes each context
+  bound are recorded in sweep provenance.
 * **Columnar prepare** — points are grouped by configuration and each
   group's binding environment is computed once, over numpy columns of
   its :class:`~repro.models.parameters.Parameters`
@@ -31,8 +32,8 @@ loop, none of which changes a single output bit:
   can reroute the same points to the sparse backend.
 
 The bitwise guarantee is what lets the sweep engine, the serving layer
-and the disk cache mix freely: every path yields the exact floats of the
-pre-engine point-by-point code.
+and :func:`repro.evaluate` mix freely: every path yields the exact
+floats of the pre-engine point-by-point code.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from typing import (
     NamedTuple,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Union,
 )
@@ -59,12 +61,13 @@ from ..core.solvers import (
     SolveRequest,
 )
 from ..core.solvers import solve as _core_solve
-from ..core.spec import CompiledChain, CompiledSpecCache, ModelSpec
+from ..core.spec import CompiledChain, ModelSpec
 from ..models.configurations import Configuration
 from ..models.internal_raid import InternalRaidNodeModel
 from ..models.parameters import ParameterColumns, Parameters
 from ..models.raid import ArrayRates, InternalRaid, array_model
 from ..models.rebuild import RebuildModel
+from ..models.specs import compiled_cache
 
 __all__ = [
     "PreparedGroup",
@@ -103,18 +106,24 @@ def normalize_method(method: str) -> str:
 
 
 class SolveContext:
-    """Per-process compiled-spec cache and counters for chunk evaluation.
+    """Per-engine array-rates memo and counters for chunk evaluation.
 
-    The array-memo counters live in :attr:`metrics` (as
-    ``engine.array_memo.hits`` / ``engine.array_memo.misses``) alongside
-    the spec cache's own registry; ``array_hits`` / ``array_misses``
-    remain as read-through properties for provenance snapshots.
+    Compiled chains live in the process-wide cache
+    (:func:`repro.models.specs.compiled_cache`); the context tallies its
+    own lookups against it — a lookup is a miss only if it compiled —
+    and the hashes it bound (:meth:`spec_hashes`, for provenance).  The
+    array-memo counters live in :attr:`metrics` (as
+    ``engine.array_memo.hits`` / ``engine.array_memo.misses``);
+    ``array_hits`` / ``array_misses`` remain as read-through properties
+    for provenance snapshots.
     """
 
     def __init__(self) -> None:
         self.metrics = obs.Metrics()
-        self.specs = CompiledSpecCache(metrics=self.metrics)
         self.array_rates: Dict[Hashable, ArrayRates] = {}
+        self.spec_hits = 0
+        self.spec_misses = 0
+        self._spec_hashes: Set[str] = set()
         self._array_hits = self.metrics.counter("engine.array_memo.hits")
         self._array_misses = self.metrics.counter("engine.array_memo.misses")
 
@@ -136,15 +145,29 @@ class SolveContext:
 
     def stats(self) -> Dict[str, int]:
         return {
-            "spec_hits": self.specs.hits,
-            "spec_misses": self.specs.misses,
+            "spec_hits": self.spec_hits,
+            "spec_misses": self.spec_misses,
             "array_hits": self.array_hits,
             "array_misses": self.array_misses,
         }
 
+    def compile(self, spec: ModelSpec) -> CompiledChain:
+        """``spec``'s chain from the process-wide compiled-spec cache,
+        counted as this context's hit, or its miss if the lookup
+        compiled (a first sight or a rebuilt damaged entry)."""
+        cache = compiled_cache()
+        compiles = cache.misses + cache.structure_rebuilds
+        chain = cache.get_or_compile(spec)
+        if cache.misses + cache.structure_rebuilds > compiles:
+            self.spec_misses += 1
+        else:
+            self.spec_hits += 1
+        self._spec_hashes.add(chain.spec_hash)
+        return chain
+
     def spec_hashes(self) -> Tuple[str, ...]:
-        """Hashes of every spec compiled in this context (provenance)."""
-        return self.specs.hashes()
+        """Hashes of every spec this context bound, sorted (provenance)."""
+        return tuple(sorted(self._spec_hashes))
 
 
 def _array_rates(
@@ -276,7 +299,7 @@ def prepare_groups(
                 shared = columns[ids] = ParameterColumns(params)
             source = shared
         spec, env = _spec_and_env(config, source, params, ctx, rates_method)
-        compiled = ctx.specs.get_or_compile(spec)
+        compiled = ctx.compile(spec)
         _, envs, parts = by_hash.setdefault(
             compiled.spec_hash, (compiled, [], [])
         )

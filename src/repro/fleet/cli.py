@@ -117,7 +117,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             from ..engine import SweepEngine
 
-            engine = SweepEngine(base, cache=False)
+            engine = SweepEngine(base)
             run = run_corpus(
                 scenarios,
                 engine=engine,

@@ -603,7 +603,7 @@ def run_corpus(
     """
     from ..engine import SweepEngine
 
-    engine = engine if engine is not None else SweepEngine(cache=False)
+    engine = engine if engine is not None else SweepEngine()
     options = options if options is not None else SolveOptions()
     scenarios = list(scenarios)
     started = time.perf_counter()

@@ -229,7 +229,7 @@ class ReliabilityService:
         self._aux_pending = 0
         self._aux_inflight = 0
         self._advise_pending = 0
-        self._engine = SweepEngine(base_params=self.base_params, cache=False)
+        self._engine = SweepEngine(base_params=self.base_params)
         self._inflight: Dict[str, "asyncio.Future[Dict[str, Any]]"] = {}
         self._coalesced = self.metrics.counter("serve.inflight.coalesced")
         self._aux_gauge = self.metrics.gauge("serve.aux.pending")

@@ -8,9 +8,9 @@ lets one implementation run in three places unchanged:
   :class:`repro.runtime.topology.ThreadTopology`);
 * inside a forked shard worker (sharded mode, via
   :class:`repro.runtime.topology.ProcessTopology`), where the worker owns
-  its shard's :class:`~repro.engine.solver.SolveContext` (compiled chains)
-  and an optional shard-local TTL result cache so hot keys stay
-  cache-local;
+  its shard's :class:`~repro.engine.solver.SolveContext` (array-rates
+  memo; compiled chains are per process) and an optional shard-local TTL
+  result cache so hot keys stay cache-local;
 * inline, for tests.
 
 The handler contract is the runtime's ``handler(state, payload)``:
@@ -128,7 +128,7 @@ class PointTask:
 
 
 class SolverState:
-    """Per-worker solve state: shard identity, compiled chains, cache."""
+    """Per-worker solve state: shard identity, solve context, cache."""
 
     __slots__ = ("shard", "ctx", "cache")
 

@@ -12,6 +12,12 @@ Replicas are independently seeded, so ``--jobs`` changes only wall-clock
 time, never the estimates.  Finished estimates are cached on disk under
 ``.repro_cache/`` keyed by (configuration, parameters, replicas, seed),
 so re-running the harness is instant; ``--no-cache`` bypasses that.
+
+A case passes when ``|simulated - chain| <= 4 * stderr + bias * chain``:
+the 4-sigma sampling band plus the relative bias the simulation oracle
+declares for the configuration
+(:func:`repro.verify.oracles.mc_bias_envelope`); the command exits 1 if
+any case falls outside its band.
 """
 
 from __future__ import annotations
@@ -24,15 +30,22 @@ from typing import List, Optional
 from .. import obs
 from ..cli_common import add_observability_arguments, observed_session
 from ..engine.cache import DiskCache
-from ..engine.keys import point_key
 from ..runtime.chunks import default_jobs
 from ..models.configurations import Configuration
 from ..models.internal_raid import InternalRaidNodeModel
 from ..models.parameters import Parameters
 from ..models.raid import InternalRaid
-from .monte_carlo import MonteCarloResult, accelerated_parameters, estimate_mttdl
+from ..verify.oracles import mc_bias_envelope
+from .monte_carlo import (
+    accelerated_parameters,
+    cached_estimate,
+    estimate_payload_valid,
+)
 
 __all__ = ["main"]
+
+#: The sampling half of each case's band, in standard errors.
+SIGMAS = 4.0
 
 DEFAULT_CASES = [
     Configuration(InternalRaid.NONE, 1),
@@ -86,7 +99,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.scale <= 0:
         parser.error("scale must be positive")
     jobs = default_jobs() if args.jobs is None else max(1, args.jobs)
-    cache = None if args.no_cache else DiskCache()
+    cache = None if args.no_cache else DiskCache(validator=estimate_payload_valid)
 
     base = Parameters.baseline().replace(
         node_set_size=args.nodes, redundancy_set_size=8
@@ -101,11 +114,17 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"node MTTF {acc.node_mttf_hours:.0f} h; N = {acc.node_set_size}; "
             f"{args.replicas} replicas\n"
         )
-        print(f"{'configuration':<26} {'simulated (h)':>14} {'chain (h)':>12} {'z':>7}")
+        print(
+            f"{'configuration':<26} {'simulated (h)':>14} {'chain (h)':>12} "
+            f"{'z':>7} {'band (h)':>10}  verdict"
+        )
         worst = 0.0
+        outside = 0
         for config in DEFAULT_CASES:
             with obs.span("validate.case", config=config.key) as case_span:
-                mc = _estimate(config, acc, args.replicas, args.seed, jobs, cache)
+                mc = cached_estimate(
+                    config, acc, args.replicas, args.seed, jobs, cache
+                )
                 if config.internal is InternalRaid.NONE:
                     analytic = config.mttdl_hours(acc)
                 else:
@@ -117,13 +136,21 @@ def main(argv: Optional[List[str]] = None) -> int:
                     ).mttdl_exact()
                 z = (analytic - mc.mean_hours) / mc.std_error_hours
                 case_span.set("z", z)
+            band = SIGMAS * mc.std_error_hours + mc_bias_envelope(config) * analytic
+            agrees = abs(mc.mean_hours - analytic) <= band
             worst = max(worst, abs(z))
+            outside += not agrees
             print(
                 f"{config.label:<26} {mc.mean_hours:>14.4g} {analytic:>12.4g} "
-                f"{z:>+7.2f}"
+                f"{z:>+7.2f} {band:>10.4g}  {'ok' if agrees else 'OUTSIDE'}"
             )
-        print(f"\nworst |z| = {worst:.2f} "
-              f"({'OK' if worst < 4 else 'investigate — beyond sampling error'})")
+        verdict = (
+            f"{outside} case(s) outside" if outside else "every case within"
+        )
+        print(
+            f"\nworst |z| = {worst:.2f}; {verdict} the {SIGMAS:g}-sigma "
+            "band + bias envelope"
+        )
         if args.verbose:
             cache_note = (
                 f"disk cache {cache.hits} hits / {cache.misses} misses"
@@ -131,49 +158,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 else "disk cache off"
             )
             print(f"[repro-validate] jobs={jobs}; {cache_note}", file=sys.stderr)
-    return 0 if worst < 4 else 1
-
-
-def _estimate(
-    config: Configuration,
-    params: Parameters,
-    replicas: int,
-    seed: int,
-    jobs: int,
-    cache: Optional[DiskCache],
-) -> MonteCarloResult:
-    """Monte-Carlo estimate, through the disk cache when enabled."""
-    key = None
-    if cache is not None:
-        key = point_key(
-            config,
-            params,
-            "monte_carlo",
-            extra={"replicas": replicas, "seed": seed},
-        )
-        payload = cache.get(key)
-        if payload is not None and "mean_hours" in payload:
-            return MonteCarloResult(
-                mean_hours=float(payload["mean_hours"]),
-                std_error_hours=float(payload["std_error_hours"]),
-                replicas=int(payload["replicas"]),
-                loss_causes=tuple(
-                    (str(cause), int(count))
-                    for cause, count in payload["loss_causes"]
-                ),
-            )
-    mc = estimate_mttdl(config, params, replicas=replicas, seed=seed, jobs=jobs)
-    if cache is not None and key is not None:
-        cache.put(
-            key,
-            {
-                "mean_hours": mc.mean_hours,
-                "std_error_hours": mc.std_error_hours,
-                "replicas": mc.replicas,
-                "loss_causes": [list(item) for item in mc.loss_causes],
-            },
-        )
-    return mc
+    return 1 if outside else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .. import obs
+from ..engine.cache import DiskCache
+from ..engine.keys import point_key
 from ..runtime.chunks import run_chunks, split_chunks
 from ..models.configurations import Configuration
 from ..models.parameters import Parameters
@@ -28,8 +30,10 @@ from .rng import StreamFactory
 __all__ = [
     "MonteCarloResult",
     "EventRateResult",
+    "cached_estimate",
     "estimate_mttdl",
     "estimate_event_rate",
+    "estimate_payload_valid",
     "accelerated_parameters",
 ]
 
@@ -191,6 +195,66 @@ def estimate_mttdl(
             replicas=replicas,
             loss_causes=tuple(sorted(causes.items())),
         )
+
+
+def estimate_payload_valid(payload: Dict[str, Any]) -> bool:
+    """Schema check for a cached :class:`MonteCarloResult` payload:
+    numeric ``mean_hours`` and ``std_error_hours``, an int ``replicas``
+    and ``loss_causes`` as ``[cause, count]`` pairs.  Anything else (an
+    old layout, a truncated write that still parses) is a cache miss."""
+    causes = payload.get("loss_causes")
+    return (
+        type(payload.get("mean_hours")) in (int, float)
+        and type(payload.get("std_error_hours")) in (int, float)
+        and type(payload.get("replicas")) is int
+        and type(causes) is list
+        and all(
+            type(item) is list
+            and len(item) == 2
+            and type(item[0]) is str
+            and type(item[1]) is int
+            for item in causes
+        )
+    )
+
+
+def cached_estimate(
+    config: Configuration,
+    params: Parameters,
+    replicas: int,
+    seed: int,
+    jobs: int,
+    cache: Optional[DiskCache],
+) -> MonteCarloResult:
+    """:func:`estimate_mttdl`, through ``cache`` (built with
+    ``validator=estimate_payload_valid``) when one is given.
+
+    Entries are keyed by (configuration, parameters, replicas, seed);
+    ``jobs`` never changes an estimate.  A damaged entry is a miss,
+    re-simulated and overwritten, so a hit returns a fresh run's floats.
+    """
+    key = None
+    if cache is not None:
+        extra = {"replicas": replicas, "seed": seed}
+        key = point_key(config, params, "monte_carlo", extra=extra)
+        payload = cache.get(key)
+        if payload is not None and estimate_payload_valid(payload):
+            return MonteCarloResult(
+                mean_hours=float(payload["mean_hours"]),
+                std_error_hours=float(payload["std_error_hours"]),
+                replicas=payload["replicas"],
+                loss_causes=tuple(map(tuple, payload["loss_causes"])),
+            )
+    mc = estimate_mttdl(config, params, replicas=replicas, seed=seed, jobs=jobs)
+    if key is not None:
+        payload = {
+            "mean_hours": mc.mean_hours,
+            "std_error_hours": mc.std_error_hours,
+            "replicas": mc.replicas,
+            "loss_causes": [list(item) for item in mc.loss_causes],
+        }
+        cache.put(key, payload)
+    return mc
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,24 @@
 """Fault injection: prove failures degrade to recomputation.
 
-The sweep engine's two accelerators — the on-disk result cache and the
-compiled-spec cache — and the Monte-Carlo replica pool promise they can
-*never* change a result, only its cost.  This module attacks each one
-and checks the promise:
+Three accelerators — the Monte-Carlo estimates' on-disk cache, the
+process-wide compiled-spec cache and the Monte-Carlo replica pool —
+promise they can *never* change a result, only its cost.  This module
+attacks each one and checks the promise:
 
-* every cache entry is corrupted (garbage bytes), truncated, or replaced
-  with a schema-mismatched payload between a warm-up sweep and a re-read;
-* the solver's compiled-spec cache is poisoned: every entry is replaced
-  with a compiled chain whose structure does not match the hash it is
-  stored under, which the cache must detect (its per-lookup hash check)
-  and recompile from the spec;
+* every estimate-cache entry is corrupted (garbage bytes), truncated, or
+  replaced with a schema-mismatched payload between a warm-up estimate
+  and a re-read (:func:`repro.sim.monte_carlo.cached_estimate`, the
+  path ``repro-validate`` reads);
+* the process-wide compiled-spec cache
+  (:func:`repro.models.specs.compiled_cache`) is poisoned: every entry
+  is replaced with a compiled chain whose structure does not match the
+  hash it is stored under, which the cache must detect (its per-lookup
+  hash check) and recompile from the spec;
 * Monte-Carlo pool workers are killed (``os._exit``) the moment they
   pick up a chunk of replicas, via the
   :data:`~repro.runtime.faultpoints.POOL_WORKER_START` fault point.
 
-After each attack the results must be **bitwise identical** to a cold,
+After each attack the results must be **bitwise identical** to a
 serial, cache-less reference run.  :func:`fault_drill` runs the whole
 battery and is registered as the ``engine-fault-degradation`` invariant.
 """
@@ -32,12 +35,17 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.spec import CompiledChain, ModelSpec, param
 from ..engine.cache import DiskCache
-from ..engine.sweep import SweepEngine, point_payload_valid
+from ..engine.sweep import SweepEngine
 from ..models.configurations import Configuration
 from ..models.parameters import Parameters
+from ..models.specs import compiled_cache
 from ..runtime import faultpoints
 from ..runtime.chunks import MIN_TASKS_FOR_POOL
-from ..sim.monte_carlo import accelerated_parameters, estimate_mttdl
+from ..sim.monte_carlo import (
+    accelerated_parameters,
+    cached_estimate,
+    estimate_payload_valid,
+)
 from .oracles import MC_SYSTEM_OVERRIDES
 from .registry import VerifyContext, Violation, invariant
 
@@ -73,7 +81,7 @@ def corrupt_cache_dir(directory, mode: str = "garbage") -> int:
             text = entry.read_text(encoding="utf-8")
             entry.write_text(text[: max(1, len(text) // 2)], encoding="utf-8")
         elif mode == "schema":
-            entry.write_text('{"mttdl_hours": "NaN-ish string"}', encoding="utf-8")
+            entry.write_text('{"mean_hours": 1.0}', encoding="utf-8")
         else:  # non-dict
             entry.write_text("[1, 2, 3]", encoding="utf-8")
         damaged += 1
@@ -139,8 +147,9 @@ def _muted(*logger_names: str):
             logger.setLevel(level)
 
 
-def _mttdls(engine: SweepEngine, pairs, method: str = "analytic") -> List[float]:
-    return [r.mttdl_hours for r in engine.evaluate_many(pairs, method=method)]
+def _mttdls(engine: SweepEngine, pairs) -> Dict[str, float]:
+    results = engine.evaluate_many(pairs)
+    return {config.key: r.mttdl_hours for (config, _), r in zip(pairs, results)}
 
 
 def fault_drill(
@@ -151,125 +160,99 @@ def fault_drill(
 ) -> Tuple[int, List[Violation]]:
     """Run the full fault battery; returns ``(scenarios, violations)``.
 
-    The reference is a cold serial cache-less run; every scenario must
-    reproduce it bitwise.  The killed-worker scenario simulates
-    ``configs[0]`` at the Monte-Carlo oracle's operating point with
-    ``jobs`` workers and compares it with the ``jobs=1`` estimate.
+    The poisoned-spec scenario must reproduce a serial run of
+    ``configs`` at ``params`` bitwise.  The Monte-Carlo scenarios
+    simulate ``configs[0]`` at the Monte-Carlo oracle's operating point:
+    the corrupted-cache re-reads and the killed-worker run with ``jobs``
+    workers must each reproduce the serial cache-less estimate bitwise.
     """
     if params is None:
         params = Parameters.baseline()
     pairs = [(config, params) for config in configs]
-    reference = _mttdls(SweepEngine(params), pairs)
-
     violations: List[Violation] = []
     checked = 0
 
-    def compare(scenario: str, observed: List[float], extra: Dict) -> None:
+    def compare(scenario: str, observed, expected, extra: Dict) -> None:
         nonlocal checked
         checked += 1
-        if observed == reference:
-            return
-        mismatches = {
-            config.key: {"expected": want, "observed": got}
-            for (config, _), want, got in zip(pairs, reference, observed)
-            if want != got
-        }
-        violations.append(
-            Violation(
-                invariant="engine-fault-degradation",
-                message=f"{scenario}: results differ from cold serial run",
-                details={**extra, "mismatches": mismatches},
+        if observed != expected:
+            violations.append(
+                Violation(
+                    invariant="engine-fault-degradation",
+                    message=f"{scenario}: results differ from the serial run",
+                    details={**extra, "expected": expected, "observed": observed},
+                )
             )
-        )
 
-    # -- disk-cache corruption: warm the cache, damage it, re-read. ----- #
+    accelerated = accelerated_parameters(
+        params.replace(**MC_SYSTEM_OVERRIDES), 200.0
+    )
+
+    def estimate(width: int, cache: Optional[DiskCache] = None) -> Tuple:
+        # MIN_TASKS_FOR_POOL: the fewest replicas that engage the pool.
+        mc = cached_estimate(
+            configs[0], accelerated, MIN_TASKS_FOR_POOL, 0, width, cache
+        )
+        return (mc.mean_hours, mc.std_error_hours, mc.loss_causes)
+
+    serial = estimate(1)
+
+    # -- estimate-cache corruption: warm the cache, damage it, re-read. - #
     with _muted("repro.engine.cache"):
         for mode in CACHE_CORRUPTION_MODES:
             tmp = tempfile.mkdtemp(prefix="repro-verify-cache-")
             try:
-                cache = DiskCache(tmp, validator=point_payload_valid)
-                engine = SweepEngine(params, cache=cache)
-                engine.evaluate_many(pairs)  # warm
+                cache = DiskCache(tmp, validator=estimate_payload_valid)
+                estimate(1, cache)  # warm
                 corrupt_cache_dir(tmp, mode)
                 compare(
                     f"cache corruption ({mode})",
-                    _mttdls(engine, pairs),
+                    estimate(1, cache),
+                    serial,
                     {"mode": mode, "rejected_entries": cache.rejected},
                 )
-                # The damaged entries must have been overwritten with good
-                # values: a third pass must be pure hits and still agree.
+                # The damaged entry must have been overwritten with the
+                # good value: a third read must be a hit and still agree.
                 hits_before = cache.hits
                 compare(
                     f"cache overwrite after corruption ({mode})",
-                    _mttdls(engine, pairs),
+                    estimate(1, cache),
+                    serial,
                     {"mode": mode, "hits": cache.hits - hits_before},
                 )
             finally:
                 shutil.rmtree(tmp, ignore_errors=True)
 
     # -- killed Monte-Carlo pool workers -------------------------------- #
-    config = configs[0]
-    accelerated = accelerated_parameters(
-        params.replace(**MC_SYSTEM_OVERRIDES), 200.0
-    )
-
-    def estimate(width: int) -> Tuple:
-        mc = estimate_mttdl(
-            config,
-            accelerated,
-            replicas=MIN_TASKS_FOR_POOL,  # the fewest that engage the pool
-            seed=0,
-            jobs=width,
-        )
-        return (mc.mean_hours, mc.std_error_hours, mc.loss_causes)
-
-    serial = estimate(1)
     with _muted("repro.runtime.chunks"), faultpoints.injected(
         faultpoints.POOL_WORKER_START, kill_worker_action()
     ):
         observed = estimate(jobs)
-    checked += 1
-    if observed != serial:
-        violations.append(
-            Violation(
-                invariant="engine-fault-degradation",
-                message=(
-                    "killed pool workers: Monte-Carlo estimate differs "
-                    "from the serial run"
-                ),
-                config=config.key,
-                details={
-                    "jobs": jobs,
-                    "expected": serial,
-                    "observed": observed,
-                },
-            )
-        )
+    compare("killed pool workers", observed, serial, {"jobs": jobs})
 
     # -- poisoned compiled-spec cache ---------------------------------- #
+    specs = compiled_cache()
     engine = SweepEngine(params)
-    engine.evaluate_many(pairs)  # populate the spec cache
-    poisoned = poison_spec_cache(engine._ctx.specs)
-    compare(
-        "poisoned compiled-spec cache",
-        _mttdls(engine, pairs),
-        {
-            "entries_poisoned": poisoned,
-            "rebuilds_detected": engine._ctx.specs.structure_rebuilds,
-        },
-    )
-    if engine._ctx.specs.structure_rebuilds < poisoned:
+    reference = _mttdls(engine, pairs)  # the engine's chains are now cached
+    originals = [chain.spec for chain in specs._chains.values()]
+    rebuilds_before = specs.structure_rebuilds
+    poisoned = poison_spec_cache(specs)
+    observed_mttdls = _mttdls(engine, pairs)
+    # Look every other poisoned entry up too (the cache is process-wide:
+    # ``repro.evaluate`` and earlier runs left theirs), so each one must
+    # be detected and none survives the drill.
+    for spec in originals:
+        specs.get_or_compile(spec)
+    counts = {"entries_poisoned": poisoned,
+              "rebuilds_detected": specs.structure_rebuilds - rebuilds_before}
+    compare("poisoned compiled-spec cache", observed_mttdls, reference, counts)
+    if counts["rebuilds_detected"] < poisoned:
         violations.append(
             Violation(
                 invariant="engine-fault-degradation",
-                message=(
-                    "poisoned compiled-spec cache: mismatched entries were "
-                    "not detected as structure rebuilds"
-                ),
-                details={
-                    "entries_poisoned": poisoned,
-                    "rebuilds_detected": engine._ctx.specs.structure_rebuilds,
-                },
+                message="poisoned compiled-spec cache: mismatched entries "
+                "were not detected as structure rebuilds",
+                details=counts,
             )
         )
 
@@ -278,10 +261,10 @@ def fault_drill(
 
 @invariant(
     "engine-fault-degradation",
-    "Corrupted/truncated/schema-mismatched cache entries, poisoned "
-    "compiled-spec caches and killed Monte-Carlo pool workers all degrade "
-    "to correct recomputation: results stay bitwise identical to a cold "
-    "serial run.",
+    "Corrupted/truncated/schema-mismatched Monte-Carlo estimate-cache "
+    "entries, a poisoned process-wide compiled-spec cache and killed "
+    "Monte-Carlo pool workers all degrade to correct recomputation: "
+    "results stay bitwise identical to a serial run.",
     tags=("engine", "faults", "smoke"),
 )
 def check_engine_fault_degradation(ctx: VerifyContext) -> Tuple[int, List[Violation]]:

@@ -67,7 +67,6 @@ def default_lattice(base: Optional[Parameters] = None) -> List[Parameters]:
 def make_context(
     base: Optional[Parameters] = None,
     *,
-    cache: bool = False,
     mc_replicas: int = 0,
     mc_jobs: int = 1,
     mc_seed: int = 0,
@@ -86,7 +85,7 @@ def make_context(
     return VerifyContext(
         configs=all_configurations(max_fault_tolerance),
         points=default_lattice(base),
-        engine=SweepEngine(base, cache=cache),
+        engine=SweepEngine(base),
         base=base,
         mc_replicas=mc_replicas,
         mc_jobs=mc_jobs,

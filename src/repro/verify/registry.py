@@ -153,9 +153,8 @@ class VerifyContext:
     Args:
         configs: configurations under audit (the paper's nine by default).
         points: the parameter lattice (see :mod:`repro.verify.lattice`).
-        engine: sweep engine to evaluate through; a fresh serial,
-            cache-less engine when omitted (so a verification run never
-            trusts a previous run's disk cache).
+        engine: sweep engine to evaluate through; a fresh one when
+            omitted.
         base: baseline the lattice was grown from; used only to label
             violation points by their differing fields.
         mc_replicas: Monte-Carlo replicas for the simulation oracle;

@@ -16,7 +16,7 @@ class TestFiguresTraceFlag:
         trace_path = str(tmp_path / "out.jsonl")
         rc = main(
             [
-                "--fig", "13", "--no-cache", "--format", "json",
+                "--fig", "13", "--format", "json",
                 "--trace", trace_path, "--report",
             ]
         )
@@ -34,7 +34,7 @@ class TestFiguresTraceFlag:
         assert tree_coverage(spans) >= 0.95
 
     def test_fig_flag_merges_with_positional(self, capsys):
-        rc = main(["17", "--fig", "13", "--no-cache", "--format", "json"])
+        rc = main(["17", "--fig", "13", "--format", "json"])
         assert rc == 0
         figures = json.loads(capsys.readouterr().out)
         assert len(figures) == 2
@@ -48,7 +48,7 @@ class TestFiguresTraceFlag:
     def test_stdout_bitwise_identical_with_and_without_tracing(
         self, capsys, tmp_path
     ):
-        base_args = ["--fig", "13", "17", "--no-cache", "--format", "json"]
+        base_args = ["--fig", "13", "17", "--format", "json"]
         assert main(base_args) == 0
         plain = capsys.readouterr().out
         trace_path = str(tmp_path / "out.jsonl")
@@ -60,7 +60,7 @@ class TestFiguresTraceFlag:
         metrics_path = str(tmp_path / "metrics.json")
         rc = main(
             [
-                "--fig", "17", "--no-cache", "--format", "json",
+                "--fig", "17", "--format", "json",
                 "--metrics", metrics_path,
             ]
         )
@@ -72,7 +72,7 @@ class TestFiguresTraceFlag:
         assert "core.spec_cache.misses" in flat
 
     def test_verbose_still_reports_engine_line(self, capsys):
-        rc = main(["17", "--no-cache", "--verbose"])
+        rc = main(["17", "--verbose"])
         assert rc == 0
         err = capsys.readouterr().err
         assert "[repro.engine]" in err

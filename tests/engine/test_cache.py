@@ -4,10 +4,16 @@ import logging
 
 import pytest
 
-from repro.engine import DiskCache, point_payload_valid
+from repro.engine import DiskCache
 
 KEY = "ab" * 32
 OTHER = "cd" * 32
+
+
+def mttdl_valid(payload):
+    """A payload schema for these tests: a numeric ``mttdl_hours``."""
+    mttdl = payload.get("mttdl_hours")
+    return isinstance(mttdl, (int, float)) and not isinstance(mttdl, bool)
 
 
 class TestDiskCache:
@@ -102,8 +108,8 @@ class TestCorruptionHardening:
         assert cache.hits == 1
 
     def test_schema_mismatch_with_validator(self, tmp_path, caplog):
-        cache = DiskCache(tmp_path, validator=point_payload_valid)
-        # Valid JSON dict, but not the point-payload schema.
+        cache = DiskCache(tmp_path, validator=mttdl_valid)
+        # Valid JSON dict, but not the validator's schema.
         (tmp_path / f"{KEY}.json").write_text(
             '{"mttdl_hours": "not a number"}', encoding="utf-8"
         )
@@ -113,7 +119,7 @@ class TestCorruptionHardening:
         assert any("schema mismatch" in r.message for r in caplog.records)
 
     def test_validator_accepts_good_payload(self, tmp_path):
-        cache = DiskCache(tmp_path, validator=point_payload_valid)
+        cache = DiskCache(tmp_path, validator=mttdl_valid)
         cache.put(KEY, {"mttdl_hours": 7.0})
         assert cache.get(KEY) == {"mttdl_hours": 7.0}
         assert cache.rejected == 0
@@ -123,13 +129,6 @@ class TestCorruptionHardening:
         assert cache.get(KEY) is None
         assert cache.misses == 1
         assert cache.rejected == 0
-
-    def test_point_payload_valid(self):
-        assert point_payload_valid({"mttdl_hours": 1.0})
-        assert point_payload_valid({"mttdl_hours": 3})
-        assert not point_payload_valid({"mttdl_hours": True})
-        assert not point_payload_valid({"mttdl_hours": "1.0"})
-        assert not point_payload_valid({})
 
 
 class TestConcurrentWriters:
@@ -141,7 +140,7 @@ class TestConcurrentWriters:
         payload is complete, nothing is rejected, no temp files leak."""
         import threading
 
-        cache = DiskCache(tmp_path, validator=point_payload_valid)
+        cache = DiskCache(tmp_path, validator=mttdl_valid)
         stop = threading.Event()
         seen = []
         errors = []
@@ -188,7 +187,7 @@ class TestConcurrentWriters:
         assert leftovers == [], leftovers
         # The surviving entry is whole.
         final = cache.get(KEY)
-        assert final is not None and point_payload_valid(final)
+        assert final is not None and mttdl_valid(final)
 
     def test_reject_spares_concurrently_replaced_entry(
         self, tmp_path, monkeypatch

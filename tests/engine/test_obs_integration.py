@@ -15,6 +15,7 @@ import pytest
 import repro
 from repro import obs
 from repro.engine.sweep import SweepEngine
+from repro.models.specs import compiled_cache
 from repro.obs.tracer import Tracer
 
 
@@ -73,26 +74,20 @@ class TestSpanTrees:
         assert not any("engine.worker" in p for p in paths)
         assert any(p.endswith("solve.bind") for p in paths)
         assert any(p.endswith("solve.gth") for p in paths)
-
-    def test_cache_spans_present_when_cache_enabled(self, tmp_path):
-        engine = SweepEngine(jobs=1, cache=str(tmp_path / "cache"))
-        tracer = Tracer()
-        with obs.use_tracer(tracer):
-            engine.evaluate_many(sweep_pairs())
-        names = {s["name"] for s in tracer.finished()}
-        assert "engine.cache.lookup" in names
-        assert "engine.cache.store" in names
+        # The engine keeps no result cache, so no batch reads one.
+        assert not any("engine.cache" in p for p in paths)
 
 
 class TestCounterReadThrough:
     def test_spec_cache_properties_match_registry(self):
         engine = SweepEngine(jobs=1)
         engine.evaluate_many(sweep_pairs())
+        specs = compiled_cache()
+        assert specs.hits == specs.metrics.value("core.spec_cache.hits")
+        assert specs.misses == specs.metrics.value("core.spec_cache.misses")
         ctx = engine._ctx
-        assert ctx.specs.hits == ctx.metrics.value("core.spec_cache.hits")
-        assert ctx.specs.misses == ctx.metrics.value("core.spec_cache.misses")
         assert ctx.array_hits == ctx.metrics.value("engine.array_memo.hits")
-        assert ctx.specs.hits + ctx.specs.misses > 0
+        assert ctx.spec_hits + ctx.spec_misses > 0
 
     def test_disk_cache_properties_match_registry(self, tmp_path):
         cache = repro.DiskCache(tmp_path / "cache")
@@ -106,19 +101,22 @@ class TestCounterReadThrough:
             == 1
         )
 
-    def test_engine_metrics_snapshot(self, tmp_path):
-        engine = SweepEngine(jobs=1, cache=str(tmp_path / "cache"))
+    def test_engine_metrics_snapshot(self):
+        engine = SweepEngine(jobs=1)
         pairs = sweep_pairs()
         engine.evaluate_many(pairs)
         flat = engine.metrics_snapshot().to_dict()
         assert flat["engine.points"] == len(pairs)
         assert flat["engine.batches"] == 1
-        assert flat["engine.disk_cache.misses"] == len(pairs)
-        assert "core.spec_cache.hits" in flat
-        # second batch: all disk hits
+        assert not any(name.startswith("engine.disk_cache") for name in flat)
+        # The process-wide compiled-spec registry is merged in as is.
+        specs = compiled_cache()
+        assert flat["core.spec_cache.hits"] == specs.hits
+        assert flat["core.spec_cache.misses"] == specs.misses
         engine.evaluate_many(pairs)
         flat = engine.metrics_snapshot().to_dict()
-        assert flat["engine.disk_cache.hits"] == len(pairs)
+        assert flat["engine.batches"] == 2
+        assert flat["engine.points"] == 2 * len(pairs)
 
 
 class TestVerboseRemoved:

@@ -71,7 +71,7 @@ class TestEvaluateChunk:
         warm = evaluate_chunk(tasks, warm_ctx)
         cold = evaluate_chunk(tasks, SolveContext())
         assert warm == cold
-        assert warm_ctx.specs.hits > 0
+        assert warm_ctx.spec_hits > 0
         assert warm_ctx.array_hits > 0
 
     def test_monte_carlo_rejected(self, baseline):

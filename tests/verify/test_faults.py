@@ -1,8 +1,8 @@
 """Fault injection: damage must degrade to recomputation.
 
-The acceptance bar: corrupted cache entries, poisoned compiled-spec
-caches and killed Monte-Carlo pool workers must yield results **bitwise
-identical** to a cold serial run.
+The acceptance bar: corrupted Monte-Carlo estimate-cache entries, a
+poisoned process-wide compiled-spec cache and killed Monte-Carlo pool
+workers must yield results **bitwise identical** to a serial run.
 """
 
 import logging
@@ -10,11 +10,13 @@ import os
 
 import pytest
 
-from repro.engine import DiskCache, SweepEngine, point_payload_valid
+from repro.engine import DiskCache, SweepEngine
 from repro.models import Parameters
 from repro.models.configurations import ALL_CONFIGURATIONS, all_configurations
+from repro.models.specs import compiled_cache
 from repro.runtime import faultpoints
-from repro.sim import accelerated_parameters, estimate_mttdl
+from repro.sim import accelerated_parameters
+from repro.sim.monte_carlo import cached_estimate, estimate_payload_valid
 from repro.verify import (
     corrupt_cache_dir,
     fault_drill,
@@ -72,34 +74,32 @@ class TestFaultpoints:
 
 class TestCacheCorruption:
     @pytest.mark.parametrize("mode", CACHE_CORRUPTION_MODES)
-    def test_corrupt_cache_recomputes_bitwise(
-        self, tmp_path, pairs, reference, mode
-    ):
-        """Warm a disk cache, vandalise every entry, re-read: identical
-        numbers, damage counted, entries overwritten with good values."""
-        cache = DiskCache(tmp_path, validator=point_payload_valid)
-        engine = SweepEngine(pairs[0][1], cache=cache)
-        assert _mttdls(engine, pairs) == reference  # warm
-        damaged = corrupt_cache_dir(tmp_path, mode)
-        assert damaged == len(pairs)
-        assert _mttdls(engine, pairs) == reference
-        assert cache.rejected == damaged
-        # Third pass: the overwritten entries are pure hits, still exact.
+    def test_corrupt_cache_recomputes_bitwise(self, tmp_path, mode):
+        """Warm the Monte-Carlo estimate cache, vandalise its entry,
+        re-read: the identical estimate, damage counted, the entry
+        overwritten with the good value."""
+        serial = _estimate(jobs=1)
+        cache = DiskCache(tmp_path, validator=estimate_payload_valid)
+        assert _estimate(jobs=1, cache=cache) == serial  # warm
+        assert corrupt_cache_dir(tmp_path, mode) == 1
+        assert _estimate(jobs=1, cache=cache) == serial
+        assert cache.rejected == 1
+        # Third read: the overwritten entry is a hit, still exact.
         hits_before = cache.hits
-        assert _mttdls(engine, pairs) == reference
-        assert cache.hits - hits_before == len(pairs)
+        assert _estimate(jobs=1, cache=cache) == serial
+        assert cache.hits - hits_before == 1
 
     def test_unknown_mode_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             corrupt_cache_dir(tmp_path, "arson")
 
 
-def _estimate(jobs):
+def _estimate(jobs, cache=None):
     """The Monte-Carlo oracle's operating point, summarised bitwise."""
     params = accelerated_parameters(
         Parameters.baseline().replace(**MC_SYSTEM_OVERRIDES), 200.0
     )
-    mc = estimate_mttdl(ALL_CONFIGURATIONS[0], params, replicas=8, seed=0, jobs=jobs)
+    mc = cached_estimate(ALL_CONFIGURATIONS[0], params, 8, 0, jobs, cache)
     return (mc.mean_hours, mc.std_error_hours, mc.loss_causes)
 
 
@@ -125,13 +125,21 @@ class TestKilledWorkers:
 
 class TestPoisonedSpecCache:
     def test_poisoned_entries_are_recompiled(self, pairs, reference):
+        specs = compiled_cache()
         engine = SweepEngine(pairs[0][1])
         assert _mttdls(engine, pairs) == reference
-        poisoned = poison_spec_cache(engine._ctx.specs)
-        assert poisoned > 0
-        assert _mttdls(engine, pairs) == reference
-        # The mismatches were detected, not silently trusted.
-        assert engine._ctx.specs.structure_rebuilds == poisoned
+        originals = dict(specs._chains)
+        rebuilds_before = specs.structure_rebuilds
+        try:
+            poisoned = poison_spec_cache(specs)
+            assert poisoned >= len(engine.provenance().spec_hashes) > 0
+            assert _mttdls(engine, pairs) == reference
+            # Every entry the engine binds was detected, not trusted.
+            assert specs.structure_rebuilds - rebuilds_before == len(
+                engine.provenance().spec_hashes
+            )
+        finally:
+            specs._chains.update(originals)
 
 
 class TestFaultDrill:
