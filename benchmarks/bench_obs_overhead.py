@@ -9,8 +9,8 @@ Two contracts, both with a 5% budget:
   untraced ones.  Archived in ``benchmarks/results/obs_overhead.txt``.
 
 * **Live serving telemetry** — drives the 4-worker spec-hash-sharded
-  serving path (the ``serve_sharded.txt`` hot-key workload) with the
-  full live-telemetry bundle on — windowed latency/SLO instruments plus
+  service (the ``serve_sharded.txt`` hot-key workload, front result
+  cache included) with the full live-telemetry bundle on — windowed latency/SLO instruments plus
   1% head-based trace sampling shipping stitched span trees across the
   shard pipe — versus everything off, and asserts the throughput
   penalty stays under 5% with bitwise-identical answers.  Archived in
@@ -18,22 +18,17 @@ Two contracts, both with a 5% budget:
 """
 
 import asyncio
-import functools
 import gc
 import os
 import time
 
-from _bench_utils import archive, show
+from _bench_utils import archive, host_facts, show
 
 from repro import obs
 from repro.analysis import baseline_figure, run_baseline
-from repro.engine.keys import point_key
 from repro.models.configurations import all_configurations
 from repro.obs.tracer import Tracer
-from repro.runtime.topology import ProcessTopology
-from repro.serve.batcher import CoalescingBatcher
-from repro.serve.shard import shard_index
-from repro.serve.solvecore import make_state, solve_handler, synth_span
+from repro.serve import PointQuery, ReliabilityService, ServeConfig
 
 #: Consecutive baseline evaluations per timed trial (amortizes timer noise).
 REPEATS = 20
@@ -140,6 +135,8 @@ def test_tracing_overhead_under_budget(baseline_params):
         "per-phase timings of one traced baseline run:",
         "",
         obs.render_report(spans),
+        "",
+        host_facts(),
     ]
     text = show("\n".join(lines))
 
@@ -185,38 +182,28 @@ def _serve_points(base, n, seed=7):
     ]
 
 
-async def _drive_live(points, live):
-    """The sharded serving path with a given live-telemetry bundle:
-    per-request sampling decision + SLO/windowed recording, per-batch
-    shard instruments, sampled spans shipped across the pipe and
-    stitched — everything the HTTP layer would do per request, minus
-    the socket."""
-    workers = SERVE_WORKERS
-    topology = ProcessTopology(
-        solve_handler,
-        size=workers,
-        worker_state=functools.partial(make_state, 4096, None, True),
-        restart=True,
-        name="bench-obs-shard",
-    )
-    topology.start()
-    batchers = [
-        CoalescingBatcher(
+async def _drive_live(points, telemetry):
+    """The sharded service with the given live-telemetry settings:
+    per-request sampling decision + SLO/windowed recording, the front
+    result cache, per-batch shard instruments, sampled spans shipped
+    across the pipe and stitched — everything the HTTP layer would do
+    per request, minus the socket."""
+    service = ReliabilityService(
+        ServeConfig(
+            workers=SERVE_WORKERS,
             max_batch_size=256,
             max_wait_us=2000,
             queue_depth=100_000,
-            runtime=topology,
-            shard=i,
-            live=live,
+            cache_size=4096,
+            cache_ttl_s=None,
+            **telemetry,
         )
-        for i in range(workers)
-    ]
-    for batcher in batchers:
-        batcher.start()
-    try:
+    )
+    live = service.live
+    async with service:
         for config in all_configurations(3):
-            await batchers[shard_index(config.key, "analytic", workers)].submit(
-                config, points[0][1].replace(drive_mttf_hours=9e4), "analytic"
+            await service.answer_point(
+                PointQuery(config, points[0][1].replace(drive_mttf_hours=9e4))
             )
         semaphore = asyncio.Semaphore(SERVE_CONCURRENCY)
 
@@ -225,14 +212,8 @@ async def _drive_live(points, live):
                 trace_id = live.sample()
                 t0 = time.perf_counter()
                 unix0 = time.time()
-                mttdl = await batchers[
-                    shard_index(config.key, "analytic", workers)
-                ].submit(
-                    config,
-                    params,
-                    "analytic",
-                    deadline_s=SERVE_DEADLINE_MS / 1e3,
-                    cache_key=point_key(config, params, "analytic", None),
+                answer = await service.answer_point(
+                    PointQuery(config, params, deadline_ms=SERVE_DEADLINE_MS),
                     trace_id=trace_id,
                 )
                 wall = time.perf_counter() - t0
@@ -248,19 +229,15 @@ async def _drive_live(points, live):
                 if trace_id is not None:
                     live.finish_trace(
                         trace_id,
-                        synth_span(
+                        obs.synth_span(
                             "serve.request", unix0, wall, status=200, points=1
                         ),
                     )
-                return mttdl
+                return answer["mttdl_hours"]
 
         t0 = time.perf_counter()
         answers = await asyncio.gather(*[one(c, p) for c, p in points])
         wall = time.perf_counter() - t0
-    finally:
-        for batcher in batchers:
-            await batcher.stop()
-        await asyncio.get_running_loop().run_in_executor(None, topology.stop)
     return wall, answers
 
 
@@ -269,18 +246,17 @@ def test_live_telemetry_overhead_under_budget(baseline_params, tmp_path):
     trace_path = os.path.join(str(tmp_path), "bench-samples.jsonl")
 
     def run_off():
-        return asyncio.run(_drive_live(points, obs.NULL_LIVE))
+        return asyncio.run(_drive_live(points, {"live_metrics": False}))
 
     def run_on():
-        live = obs.LiveTelemetry(
-            obs.Metrics(),
-            windowed=True,
-            slo_target=0.99,
-            sample_rate=SERVE_SAMPLE_RATE,
-            sample_seed=0,
-            trace_path=trace_path,
-        )
-        return asyncio.run(_drive_live(points, live))
+        telemetry = {
+            "live_metrics": True,
+            "slo_target": 0.99,
+            "trace_sample_rate": SERVE_SAMPLE_RATE,
+            "trace_sample_seed": 0,
+            "trace_sample_path": trace_path,
+        }
+        return asyncio.run(_drive_live(points, telemetry))
 
     run_off()  # warm-up: forks, spec compilation, allocator
     off_answers = on_answers = None
@@ -331,6 +307,7 @@ def test_live_telemetry_overhead_under_budget(baseline_params, tmp_path):
         "across the shard pipe)",
         "",
         "answers bitwise-identical with telemetry on vs off",
+        host_facts(),
     ]
     text = show("\n".join(lines))
 

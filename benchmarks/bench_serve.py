@@ -20,7 +20,7 @@ against a direct ``repro.evaluate()`` call.  Results are archived in
 import asyncio
 import time
 
-from _bench_utils import archive, show
+from _bench_utils import archive, host_facts, show
 
 import repro
 from repro.analysis import format_table
@@ -121,9 +121,7 @@ def test_serve_batching_speedup_report(baseline_params):
         assert a["events_per_pb_year"] == b["events_per_pb_year"], (a, b)
     queries = _queries(base, POINTS)
     for i in range(0, POINTS, POINTS // 20):
-        direct = repro.evaluate(
-            queries[i].config, queries[i].params, method="analytic"
-        )
+        direct = repro.evaluate(queries[i].config, queries[i].params)
         assert batched_answers[i]["mttdl_hours"] == direct.mttdl_hours
 
     naive_rps = POINTS / naive_wall
@@ -151,7 +149,8 @@ def test_serve_batching_speedup_report(baseline_params):
         "disabled so every request solves)\n"
         + format_table(rows)
         + "\nanswers bitwise-identical across arms and vs direct "
-        "repro.evaluate()"
+        "repro.evaluate()\n"
+        + host_facts()
     )
 
     assert speedup >= REQUIRED_SPEEDUP, (

@@ -2,8 +2,8 @@
 
 The acceptance bar for the sharded topology is concrete: under a
 hot-key Zipf workload (the skew real caches live under), the 4-worker
-spec-hash-sharded topology with shard-local TTL caches must sustain at
-least 2x the throughput of the single-process baseline measured in
+spec-hash-sharded service must sustain at least 2x the throughput of
+the single-process baseline measured in
 ``benchmarks/results/serve.txt`` — the classic one-solve-per-request
 server (``max_batch_size=1``, result cache off).  All arms run the
 identical batcher-plus-runtime substrate from :mod:`repro.runtime` /
@@ -14,16 +14,17 @@ ratios isolate exactly what each layer buys:
   serve.txt's baseline arm;
 * arm 2: the coalescing batcher on the same single solver thread,
   cache off — serve.txt's batched arm;
-* arm 3: four forked shard workers on :class:`repro.runtime.topology.ProcessTopology`,
-  every point routed by spec hash to the worker owning its chain
-  family's compiled spec and shard-local TTL cache, with a declared
-  per-request deadline budget.
+* arm 3: the production sharded path — a
+  :class:`~repro.serve.service.ReliabilityService` with four forked
+  shard workers: its one result cache and in-flight table answer
+  repeats in front of the shards, and every miss routes by spec hash
+  to the worker owning its chain family's compiled spec, with a
+  declared per-request deadline budget.
 
 On a single-CPU host the forked workers add pipe round-trips without
 adding cores, so arm 3's margin over arm 1 comes from batching plus
-shard-cache locality (hot keys answer from the owning shard's cache
-instead of re-solving); on multi-core hosts the workers add parallel
-solve capacity on top.
+the front cache (hot keys answer without queueing or re-solving); on
+multi-core hosts the workers add parallel solve capacity on top.
 
 The benchmark also asserts the serving-quality bars: the sharded arm's
 p99 latency must land inside its declared deadline budget, and every
@@ -33,22 +34,18 @@ answer is bitwise identical across all three arms and against a direct
 """
 
 import asyncio
-import functools
 import random
 import time
 
-from _bench_utils import archive, show
+from _bench_utils import archive, host_facts, show
 
 import repro
 from repro.analysis import format_table
 from repro.core.solvers import SolveOptions
-from repro.engine.keys import point_key
 from repro.models.configurations import all_configurations
-from repro.runtime.topology import ProcessTopology
+from repro.serve import PointQuery, ReliabilityService, ServeConfig
 from repro.serve.batcher import CoalescingBatcher
 from repro.serve.loadgen import percentile
-from repro.serve.shard import shard_index
-from repro.serve.solvecore import make_state, solve_handler
 
 TRIALS = 3
 POINTS = 2000
@@ -131,57 +128,40 @@ async def _drive_single(points, concurrency, max_batch_size, max_wait_us):
 
 
 async def _drive_sharded(points, concurrency, workers=SHARD_WORKERS):
-    """Per-shard batchers over forked workers with shard-local caches."""
-    topology = ProcessTopology(
-        solve_handler,
-        size=workers,
-        worker_state=functools.partial(make_state, 4096, None, True),
-        restart=True,
-        name="bench-serve-shard",
-    )
-    topology.start()
-    batchers = [
-        CoalescingBatcher(
+    """The service's sharded path: front cache, in-flight table, then
+    per-shard batchers over forked workers."""
+    service = ReliabilityService(
+        ServeConfig(
+            workers=workers,
             max_batch_size=256,
             max_wait_us=2000,
             queue_depth=100_000,
-            runtime=topology,
-            shard=i,
+            cache_size=4096,
+            cache_ttl_s=None,
+            live_metrics=False,
         )
-        for i in range(workers)
-    ]
-    for batcher in batchers:
-        batcher.start()
-    try:
+    )
+    async with service:
         for config in all_configurations(3):
-            await batchers[shard_index(config.key, "analytic", workers)].submit(
-                config, points[0][1].replace(drive_mttf_hours=WARMUP_VALUE),
-                "analytic",
+            await service.answer_point(
+                PointQuery(
+                    config,
+                    points[0][1].replace(drive_mttf_hours=WARMUP_VALUE),
+                )
             )
         semaphore = asyncio.Semaphore(concurrency)
 
         async def one(config, params):
             async with semaphore:
-                batcher = batchers[
-                    shard_index(config.key, "analytic", workers)
-                ]
                 t0 = time.perf_counter()
-                mttdl = await batcher.submit(
-                    config,
-                    params,
-                    "analytic",
-                    deadline_s=DEADLINE_MS / 1e3,
-                    cache_key=point_key(config, params, "analytic", None),
+                answer = await service.answer_point(
+                    PointQuery(config, params, deadline_ms=DEADLINE_MS)
                 )
-                return mttdl, time.perf_counter() - t0
+                return answer["mttdl_hours"], time.perf_counter() - t0
 
         t0 = time.perf_counter()
         outcomes = await asyncio.gather(*[one(c, p) for c, p in points])
         wall = time.perf_counter() - t0
-    finally:
-        for batcher in batchers:
-            await batcher.stop()
-        await asyncio.get_running_loop().run_in_executor(None, topology.stop)
     return wall, [m for m, _ in outcomes], [lat for _, lat in outcomes]
 
 
@@ -242,7 +222,7 @@ def test_serve_sharded_speedup_report(baseline_params):
             f"{speedup_batched:.2f}x",
         ],
         [
-            f"sharded x{SHARD_WORKERS} (spec-hash routing, shard caches)",
+            f"sharded x{SHARD_WORKERS} (front cache, spec-hash routing)",
             f"{sharded_rps:7.1f} req/s",
             f"{p99_ms:6.2f}",
             f"{speedup_sharded:.2f}x",
@@ -256,8 +236,9 @@ def test_serve_sharded_speedup_report(baseline_params):
         + format_table(rows)
         + f"\nsharded p50 {p50_ms:.2f}ms / p99 {p99_ms:.2f}ms; answers "
         "bitwise-identical across all arms and vs direct repro.evaluate()\n"
-        "single-CPU hosts measure batching + shard-cache locality only; "
-        "multi-core hosts add parallel solve capacity on top"
+        "single-CPU hosts measure batching + the front cache only; "
+        "multi-core hosts add parallel solve capacity on top\n"
+        + host_facts()
     )
 
     assert p99_ms <= DEADLINE_MS, (

@@ -79,6 +79,7 @@ from .tracer import (
     current_tracer,
     set_tracer,
     span,
+    synth_span,
     tracing_active,
     use_tracer,
 )
@@ -123,6 +124,7 @@ __all__ = [
     "set_reporter",
     "set_tracer",
     "span",
+    "synth_span",
     "trace",
     "tracing_active",
     "tree_coverage",

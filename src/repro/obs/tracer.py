@@ -47,6 +47,7 @@ __all__ = [
     "current_tracer",
     "set_tracer",
     "span",
+    "synth_span",
     "tracing_active",
     "use_tracer",
 ]
@@ -187,6 +188,35 @@ class Span:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Span({self.name!r}, id={self.span_id}, wall={self.wall_s:.6f}s)"
+
+
+def synth_span(
+    name: str,
+    start_unix: float,
+    wall_s: float,
+    parent_id: Optional[str] = None,
+    **attrs: Any,
+) -> Dict[str, Any]:
+    """A finished span, in :meth:`Span.to_dict` form, for a phase that
+    cannot hold a live span open (it crosses the event loop's task
+    switches or a process boundary).
+
+    The id comes from the tracer's own ``pid-seq`` sequence, so it never
+    collides with a real span's; feed the result to :func:`adopt_spans`,
+    which grafts parentless spans under the adopting thread's current
+    span.
+    """
+    return {
+        "type": "span",
+        "span_id": f"{_PID:x}-{next(_SEQ)}",
+        "parent_id": parent_id,
+        "name": name,
+        "start_unix": start_unix,
+        "wall_s": max(0.0, wall_s),
+        "cpu_s": 0.0,
+        "pid": _PID,
+        "attrs": attrs,
+    }
 
 
 class _NullSpan:

@@ -9,7 +9,8 @@ The moving parts:
 
 * :class:`~repro.serve.service.ReliabilityService` — the front door:
   TTL'd LRU result cache (keyed by the engine's stable config+params
-  hash), in-flight request coalescing, and admission control.
+  hash; the one result cache, in every topology), in-flight request
+  coalescing, and admission control.
 * :class:`~repro.serve.batcher.CoalescingBatcher` — the continuous
   batcher: concurrent in-flight points group by spec hash, bind in one
   :meth:`CompiledChain.bind_batch` pass and solve in one stacked GTH
@@ -19,8 +20,8 @@ The moving parts:
   ``/metricsz``.
 * :mod:`repro.serve.shard` + ``ServeConfig(workers=N)`` — the sharded
   topology: N forked solver workers on :mod:`repro.runtime`, requests
-  routed by spec hash so each worker owns its shard's compiled chains
-  and TTL cache, with crash-restart and 503-retry semantics.
+  routed by spec hash so each worker owns its shard's compiled chains,
+  with crash-restart and 503-retry semantics.
 * :mod:`repro.serve.loadgen` — an open-loop load generator with
   realistic traffic shapes (diurnal, bursty, hot-key skew) reporting
   p50/p95/p99 latency and achieved throughput.

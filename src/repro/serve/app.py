@@ -121,7 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=4096,
         metavar="N",
-        help="result-cache entries (0 disables; default 4096)",
+        help="result-cache entries, in every topology (0 disables; "
+        "default 4096)",
     )
     cache.add_argument(
         "--cache-ttl",

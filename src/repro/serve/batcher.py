@@ -48,9 +48,9 @@ from ..models.configurations import Configuration
 from ..models.parameters import Parameters
 from ..models.specs import spec_for_key
 from ..runtime.topology import ThreadTopology, WorkerTopology
-from .solvecore import PointTask, make_state, solve_handler, synth_span
+from .solvecore import PointTask, make_state, solve_handler
 
-__all__ = ["CoalescingBatcher", "Overloaded", "batch_close_at", "synth_span"]
+__all__ = ["CoalescingBatcher", "Overloaded", "batch_close_at"]
 
 #: Fraction of the previous solve-time EWMA kept per update.
 _EWMA_KEEP = 0.8
@@ -167,7 +167,7 @@ class CoalescingBatcher:
             runtime = ThreadTopology(
                 solve_handler,
                 size=1,
-                worker_state=functools.partial(make_state, 0, None, False),
+                worker_state=functools.partial(make_state, False),
                 name="repro-serve-solver",
             )
         self._runtime = runtime
@@ -188,10 +188,6 @@ class CoalescingBatcher:
         self._batches = self.metrics.counter("serve.batches")
         self._points = self.metrics.counter("serve.points")
         self._closed_early = self.metrics.counter("serve.batch.closed_early")
-        self._worker_cache_hits = self.metrics.counter("serve.worker.cache.hits")
-        self._worker_cache_misses = self.metrics.counter(
-            "serve.worker.cache.misses"
-        )
         if shard is not None:
             self._shard_batches = self.metrics.counter(
                 f"serve.shard.{shard}.batches"
@@ -250,7 +246,6 @@ class CoalescingBatcher:
         options: Optional[SolveOptions] = None,
         *,
         deadline_s: Optional[float] = None,
-        cache_key: Optional[str] = None,
         trace_id: Optional[str] = None,
     ) -> "asyncio.Future[float]":
         """Admit one point; returns the future of its MTTDL (hours).
@@ -258,8 +253,6 @@ class CoalescingBatcher:
         Args:
             deadline_s: the requester's latency budget from now; the
                 batcher closes batches early rather than blow it.
-            cache_key: stable result key enabling the worker-local TTL
-                cache for this point (None bypasses it).
             trace_id: the sampled-request trace id (None when the
                 request was not sampled); rides the task to the worker,
                 which captures and ships its spans back.
@@ -281,9 +274,7 @@ class CoalescingBatcher:
         spec_hash = (
             spec_for_key(config.key).spec_hash if method == "analytic" else ""
         )
-        task = PointTask(
-            config, params, method, options, spec_hash, cache_key, trace_id
-        )
+        task = PointTask(config, params, method, options, spec_hash, trace_id)
         deadline_mono = (
             task.enqueued_mono + deadline_s if deadline_s is not None else None
         )
@@ -316,9 +307,14 @@ class CoalescingBatcher:
             assemble_unix = time.time()
             margin_s = self._margin_s()
             min_deadline = first.deadline_mono
-            nominal_close = assemble_t0 + self.max_wait_s
+            # The window runs from the first point's arrival, not from its
+            # dequeue: a point that already waited out ``max_wait`` behind
+            # the previous batch's solve closes the batch once the backlog
+            # is drained.
+            window_t0 = first.task.enqueued_mono
+            nominal_close = window_t0 + self.max_wait_s
             close_at = batch_close_at(
-                assemble_t0, self.max_wait_s, (min_deadline,), margin_s
+                window_t0, self.max_wait_s, (min_deadline,), margin_s
             )
             saw_stop = False
             timed_out = False
@@ -349,7 +345,7 @@ class CoalescingBatcher:
                 ):
                     min_deadline = item.deadline_mono
                     close_at = batch_close_at(
-                        assemble_t0, self.max_wait_s, (min_deadline,), margin_s
+                        window_t0, self.max_wait_s, (min_deadline,), margin_s
                     )
             self._depth_gauge.set(self._queue.qsize())
             assembled_s = time.monotonic() - assemble_t0
@@ -391,7 +387,7 @@ class CoalescingBatcher:
             self._queue_wait.observe(wait_s)
             self._live.record_queue_wait(wait_s)
         try:
-            outcomes, stats = await self._runtime.asubmit(
+            outcomes, spans = await self._runtime.asubmit(
                 (tasks, assemble_unix, assembled_s), shard=self._shard
             )
         except BaseException as exc:  # noqa: BLE001 - fanned out below
@@ -415,17 +411,10 @@ class CoalescingBatcher:
         self._batch_solve.observe(solve_wall)
         if closed_early:
             self._closed_early.inc()
-        hits = stats.get("cache_hits", 0)
-        misses = stats.get("cache_misses", 0)
-        if hits:
-            self._worker_cache_hits.inc(hits)
-        if misses:
-            self._worker_cache_misses.inc(misses)
         if self._shard_batches is not None:
             self._shard_batches.inc()
             self._shard_batch_size.observe(len(batch))
         self._live.record_batch(self._shard, len(batch), solve_wall)
-        spans = stats.get("spans")
         if spans:
             # Deposit the shipped worker spans once per sampled trace in
             # this batch; the HTTP layer stitches them when the request

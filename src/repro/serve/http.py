@@ -36,7 +36,7 @@ from urllib.parse import parse_qsl
 
 from .. import obs
 from ..runtime.topology import WorkerCrashed
-from .batcher import Overloaded, synth_span
+from .batcher import Overloaded
 from .protocol import (
     ProtocolError,
     parse_advise_body,
@@ -336,7 +336,7 @@ class HttpServer:
             headers["X-Repro-Trace-Id"] = trace_id
             live.finish_trace(
                 trace_id,
-                synth_span(
+                obs.synth_span(
                     "serve.request",
                     unix0,
                     wall,
@@ -349,7 +349,7 @@ class HttpServer:
         if obs.tracing_active():
             obs.adopt_spans(
                 [
-                    synth_span(
+                    obs.synth_span(
                         "serve.request",
                         unix0,
                         wall,

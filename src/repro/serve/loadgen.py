@@ -22,7 +22,7 @@ offsets and the request-mix factory, so a shape is one seeded object:
 * ``bursty`` — on/off square-wave bursts with the on-rate scaled up so
   the average rate still matches the target;
 * ``hotkey`` — uniform arrivals but a Zipf-skewed key mix, the shape
-  that rewards shard-local caching.
+  that rewards the service's result cache.
 
 The report carries p50/p95/p99 latency, achieved throughput, a status
 histogram and the shape name; :func:`run_loadgen` returns it for
@@ -259,7 +259,7 @@ class BurstyShape(TrafficShape):
 
 
 class HotKeyShape(TrafficShape):
-    """Uniform arrivals, Zipf-skewed keys — the cache-locality shape."""
+    """Uniform arrivals, Zipf-skewed keys — the result-cache shape."""
 
     name = "hotkey"
 

@@ -5,23 +5,21 @@ HTTP front end (and behind in-process callers like the benchmark
 harness).  A point query flows through the layers cheapest first:
 
 1. the TTL'd LRU **result cache**, keyed by the engine's stable
-   config+params hash — a hit costs a dict copy (single-process mode;
-   in sharded mode caching moves into the workers, see below);
+   config+params hash — a hit costs a dict copy;
 2. the **in-flight table** — a second request for a key already being
    solved awaits the first one's future instead of solving again;
 3. the **coalescing batcher** — admitted points group by spec hash and
    solve as one stacked GTH elimination
    (:class:`~repro.serve.batcher.CoalescingBatcher`) on the runtime.
 
-With ``workers=N`` (N > 0) the service runs the sharded topology: one
-:class:`repro.runtime.topology.ProcessTopology` of N forked solver workers, one
-batcher per shard, and every point routed by its spec hash
+The first two layers are the same in every topology, so a repeated
+point never reaches a queue.  With ``workers=N`` (N > 0) the service
+runs the sharded topology: one
+:class:`repro.runtime.topology.ProcessTopology` of N forked solver
+workers, one batcher per shard, and every point routed by its spec hash
 (:func:`repro.serve.shard.shard_index`) to the worker that owns its
-chain family's compiled spec and shard-local TTL cache — hot keys stay
-cache-local to one process.  The front-end result cache is disabled in
-this mode (the shard caches own TTL semantics); in-flight coalescing
-still applies.  Workers that crash are restarted by the runtime;
-requests in flight on the dead worker fail with
+chain family's compiled spec.  Workers that crash are restarted by the
+runtime; requests in flight on the dead worker fail with
 :class:`~repro.runtime.topology.WorkerCrashed`, which the HTTP layer
 answers with ``503 Retry-After``.
 
@@ -71,9 +69,8 @@ class ServeConfig:
             per batcher (per shard in sharded mode); beyond it, requests
             shed with 429.
         retry_after_s: the ``Retry-After`` hint sent with a 429.
-        cache_size: result-cache entry cap (0 disables caching).  In
-            sharded mode this sizes each worker's shard-local cache; the
-            front-end cache is off.
+        cache_size: result-cache entry cap (0 disables caching); the
+            one cache answers repeats in every topology.
         cache_ttl_s: result-cache entry lifetime (None = no expiry).
         aux_depth: admission bound on queued auxiliary work (Monte Carlo,
             availability profiles, sweeps, advise searches).
@@ -166,12 +163,8 @@ class ReliabilityService:
             if self.config.base_params is not None
             else Parameters.baseline()
         )
-        sharded = self.config.workers > 0
-        # In sharded mode results cache inside the shard workers (that is
-        # the locality the topology buys); the front cache would shadow
-        # them with a second TTL policy.
         self.cache = TTLCache(
-            0 if sharded else self.config.cache_size,
+            self.config.cache_size,
             self.config.cache_ttl_s,
             metrics=self.metrics,
         )
@@ -197,16 +190,11 @@ class ReliabilityService:
         else:
             self.live = obs.NULL_LIVE
         self.topology: Optional[ProcessTopology] = None
-        if sharded:
+        if self.config.workers > 0:
             self.topology = ProcessTopology(
                 solve_handler,
                 size=self.config.workers,
-                worker_state=functools.partial(
-                    make_state,
-                    self.config.cache_size,
-                    self.config.cache_ttl_s,
-                    True,
-                ),
+                worker_state=functools.partial(make_state, True),
                 restart=True,
                 metrics=self.metrics,
                 on_crash=(
@@ -346,7 +334,7 @@ class ReliabilityService:
         )
         self._inflight[key] = future
         try:
-            response = await self._compute_point(query, key, trace_id)
+            response = await self._compute_point(query, trace_id)
         except BaseException as exc:
             future.set_exception(exc)
             future.exception()  # consumed: no zero-waiter warning
@@ -367,7 +355,7 @@ class ReliabilityService:
         ]
 
     async def _compute_point(
-        self, query: PointQuery, key: str, trace_id: Optional[str] = None
+        self, query: PointQuery, trace_id: Optional[str] = None
     ) -> Dict[str, Any]:
         if query.method == "monte_carlo":
             result = await self._offload(lambda: self._monte_carlo(query))
@@ -385,7 +373,6 @@ class ReliabilityService:
                 deadline_s=(
                     deadline_ms / 1e3 if deadline_ms is not None else None
                 ),
-                cache_key=key if self.topology is not None else None,
                 trace_id=trace_id,
             )
             result = ReliabilityResult.from_mttdl(mttdl, query.params)

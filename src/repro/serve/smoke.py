@@ -115,11 +115,14 @@ async def _run_crash_drill(
     host: str, port: int, trigger: str
 ) -> Tuple[int, int]:
     """Arm the faultpoint trigger, observe the 503, disarm.  Returns
-    (healthy status, crash status)."""
+    (healthy status, crash status).  The armed request asks a point no
+    earlier request asked, so it misses the result cache and reaches a
+    worker."""
     body = {"config": "ft2_raid5", "method": "analytic"}
     healthy, _ = await _raw_post(host, port, "/v1/evaluate", body)
     with open(trigger, "w", encoding="utf-8"):
         pass
+    body["params"] = {"drive_mttf_hours": 271_828.0}
     crashed, _ = await _raw_post(host, port, "/v1/evaluate", body)
     os.unlink(trigger)
     return healthy, crashed

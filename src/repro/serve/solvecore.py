@@ -9,23 +9,23 @@ lets one implementation run in three places unchanged:
 * inside a forked shard worker (sharded mode, via
   :class:`repro.runtime.topology.ProcessTopology`), where the worker owns
   its shard's :class:`~repro.engine.solver.SolveContext` (array-rates
-  memo; compiled chains are per process) and an optional shard-local TTL
-  result cache so hot keys stay cache-local;
+  memo; compiled chains are per process);
 * inline, for tests.
+
+Nothing here caches results: the service's one front cache answers
+repeats before a point is ever queued.
 
 The handler contract is the runtime's ``handler(state, payload)``:
 ``state`` is a :class:`SolverState` built inside the worker by
 :func:`make_state`, ``payload`` is ``(tasks, assemble_unix,
-assembled_s)``, and the reply is ``(outcomes, stats)`` where
+assembled_s)``, and the reply is ``(outcomes, spans)`` where
 ``outcomes[i]`` is point ``i``'s MTTDL in hours (or the exception its
-group raised) and ``stats`` carries the worker-cache counters for the
-parent to fold into its metrics registry.
+group raised) and ``spans`` holds the span dicts captured for sampled
+requests (None when no task was sampled).
 """
 
 from __future__ import annotations
 
-import itertools
-import os
 import pickle
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -42,7 +42,6 @@ from ..engine.solver import (
 from ..models.configurations import Configuration
 from ..models.parameters import Parameters
 from ..runtime import faultpoints
-from .ttl_cache import TTLCache
 
 __all__ = [
     "PointTask",
@@ -50,36 +49,7 @@ __all__ = [
     "make_state",
     "solve_batch_tasks",
     "solve_handler",
-    "synth_span",
 ]
-
-#: Synthetic-span id sequence.  Real tracer ids are ``"<pid hex>-<int>"``;
-#: the ``q`` infix keeps these from ever colliding with them.
-_SYNTH_SEQ = itertools.count(1)
-
-
-def synth_span(
-    name: str,
-    start_unix: float,
-    wall_s: float,
-    parent_id: Optional[str] = None,
-    **attrs: Any,
-) -> Dict[str, Any]:
-    """A finished-span dict for a phase that cannot hold a live span
-    open (it crosses task switches or the event loop's task switches);
-    feed the result to :func:`repro.obs.adopt_spans`, which grafts
-    parentless spans under the adopting thread's current span."""
-    return {
-        "type": "span",
-        "span_id": f"{os.getpid():x}-q{next(_SYNTH_SEQ)}",
-        "parent_id": parent_id,
-        "name": name,
-        "start_unix": start_unix,
-        "wall_s": max(0.0, wall_s),
-        "cpu_s": 0.0,
-        "pid": os.getpid(),
-        "attrs": attrs,
-    }
 
 
 class PointTask:
@@ -91,7 +61,6 @@ class PointTask:
         "method",
         "options",
         "spec_hash",
-        "cache_key",
         "enqueued_mono",
         "enqueued_unix",
         "trace_id",
@@ -104,7 +73,6 @@ class PointTask:
         method: str,
         options: SolveOptions,
         spec_hash: str,
-        cache_key: Optional[str] = None,
         trace_id: Optional[str] = None,
     ) -> None:
         self.config = config
@@ -112,7 +80,6 @@ class PointTask:
         self.method = method
         self.options = options
         self.spec_hash = spec_hash
-        self.cache_key = cache_key
         self.enqueued_mono = time.monotonic()
         self.enqueued_unix = time.time()
         # Sampled-request trace context: rides the task across the shard
@@ -128,109 +95,67 @@ class PointTask:
 
 
 class SolverState:
-    """Per-worker solve state: shard identity, solve context, cache."""
+    """Per-worker solve state: shard identity and solve context."""
 
-    __slots__ = ("shard", "ctx", "cache")
+    __slots__ = ("shard", "ctx")
 
-    def __init__(
-        self,
-        shard: Optional[int],
-        ctx: SolveContext,
-        cache: Optional[TTLCache],
-    ) -> None:
+    def __init__(self, shard: Optional[int], ctx: SolveContext) -> None:
         self.shard = shard
         self.ctx = ctx
-        self.cache = cache
 
 
-def make_state(
-    cache_size: int,
-    cache_ttl_s: Optional[float],
-    sharded: bool,
-    index: int,
-) -> SolverState:
+def make_state(sharded: bool, index: int) -> SolverState:
     """Worker-state factory (``functools.partial``-able for the runtime).
 
-    Runs *inside* the worker, so the solve context and cache are owned by
-    the worker that uses them — per-shard in process mode, per-thread in
-    single-process mode.  The cache's own counters live in a local
-    registry the parent never sees; the numbers that matter travel back
-    in the per-batch ``stats``.
+    Runs *inside* the worker, so the solve context is owned by the
+    worker that uses it — per-shard in process mode, per-thread in
+    single-process mode.
     """
-    cache = (
-        TTLCache(cache_size, cache_ttl_s, metrics=obs.Metrics())
-        if cache_size > 0
-        else None
-    )
-    return SolverState(
-        shard=index if sharded else None, ctx=SolveContext(), cache=cache
-    )
+    return SolverState(shard=index if sharded else None, ctx=SolveContext())
 
 
 def solve_batch_tasks(
     tasks: Sequence[PointTask],
     ctx: SolveContext,
     *,
-    cache: Optional[TTLCache] = None,
     assemble_unix: float = 0.0,
     assembled_s: float = 0.0,
     shard: Optional[int] = None,
-) -> Tuple[List[Any], Dict[str, Any]]:
+) -> Tuple[List[Any], Optional[List[Dict[str, Any]]]]:
     """Solve one assembled batch; returns per-point floats (or the
     exception that point's group raised, position-matched) plus the
-    worker-cache hit/miss counts.
+    spans captured for sampled tasks (None when none was sampled).
 
     Grouping includes the (hashable, frozen) solve options: points
     asking for different backends or tolerances never share a stacked
-    solve.  A worker-cache hit answers a point without solving; the
-    remaining members of its group still solve together, and every
-    execution path stays bitwise identical (stacked binds are per-point
-    independent).
+    solve.  Every execution path stays bitwise identical (stacked binds
+    are per-point independent).
 
     When any task carries a sampled ``trace_id``, the whole solve runs
     under a span capture regardless of the process-global tracer: the
-    captured spans come back in ``stats["spans"]`` (picklable dicts, so
-    they cross the shard pipe in the batch reply) *and* are re-adopted
-    into any enclosing tracer, so a ``--trace`` session still sees them.
+    captured spans come back as picklable dicts (so they cross the shard
+    pipe in the batch reply) *and* are re-adopted into any enclosing
+    tracer, so a ``--trace`` session still sees them.
     """
     if any(task.trace_id for task in tasks):
         with obs.capture_spans() as shipped:
-            outcomes, stats = _solve_batch(
-                tasks,
-                ctx,
-                cache=cache,
-                assemble_unix=assemble_unix,
-                assembled_s=assembled_s,
-                shard=shard,
-            )
+            outcomes = _solve_batch(tasks, ctx, assemble_unix, assembled_s, shard)
         obs.adopt_spans(shipped)
-        stats["spans"] = shipped
-        return outcomes, stats
-    return _solve_batch(
-        tasks,
-        ctx,
-        cache=cache,
-        assemble_unix=assemble_unix,
-        assembled_s=assembled_s,
-        shard=shard,
-    )
+        return outcomes, shipped
+    return _solve_batch(tasks, ctx, assemble_unix, assembled_s, shard), None
 
 
 def _solve_batch(
     tasks: Sequence[PointTask],
     ctx: SolveContext,
-    *,
-    cache: Optional[TTLCache],
     assemble_unix: float,
     assembled_s: float,
     shard: Optional[int],
-) -> Tuple[List[Any], Dict[str, Any]]:
+) -> List[Any]:
     groups: Dict[Tuple[str, str, SolveOptions], List[int]] = {}
     for i, task in enumerate(tasks):
         groups.setdefault((task.method, task.spec_hash, task.options), []).append(i)
     outcomes: List[Any] = [None] * len(tasks)
-    cache_hits = 0
-    cache_misses = 0
     attrs: Dict[str, Any] = {"size": len(tasks), "groups": len(groups)}
     if shard is not None:
         attrs["shard"] = shard
@@ -241,7 +166,7 @@ def _solve_batch(
         if obs.tracing_active():
             dequeued = time.time()
             synthetic = [
-                synth_span(
+                obs.synth_span(
                     "serve.batch.assemble",
                     assemble_unix,
                     assembled_s,
@@ -249,7 +174,7 @@ def _solve_batch(
                 )
             ]
             synthetic.extend(
-                synth_span(
+                obs.synth_span(
                     "serve.queue.wait",
                     t.enqueued_unix,
                     dequeued - t.enqueued_unix,
@@ -260,20 +185,6 @@ def _solve_batch(
             )
             obs.adopt_spans(synthetic, batch_span.span_id)
         for (method, spec_hash, options), members in groups.items():
-            if cache is not None:
-                solve_members = []
-                for i in members:
-                    key = tasks[i].cache_key
-                    hit = cache.get(key) if key is not None else None
-                    if hit is not None:
-                        outcomes[i] = hit
-                        cache_hits += 1
-                    else:
-                        solve_members.append(i)
-                        cache_misses += 1
-                members = solve_members
-                if not members:
-                    continue
             try:
                 if method == "analytic":
                     prepared = prepare_groups(
@@ -330,9 +241,7 @@ def _solve_batch(
             else:
                 for i, mttdl in zip(members, solved):
                     outcomes[i] = mttdl
-                    if cache is not None and tasks[i].cache_key is not None:
-                        cache.put(tasks[i].cache_key, mttdl)
-    return outcomes, {"cache_hits": cache_hits, "cache_misses": cache_misses}
+    return outcomes
 
 
 def _picklable_outcome(outcome: Any) -> Any:
@@ -349,7 +258,7 @@ def _picklable_outcome(outcome: Any) -> Any:
 def solve_handler(
     state: SolverState,
     payload: Tuple[Sequence[PointTask], float, float],
-) -> Tuple[List[Any], Dict[str, int]]:
+) -> Tuple[List[Any], Optional[List[Dict[str, Any]]]]:
     """The runtime handler every serve topology runs.
 
     Fires the :data:`~repro.runtime.faultpoints.SERVE_WORKER_CRASH`
@@ -360,14 +269,13 @@ def solve_handler(
     tasks, assemble_unix, assembled_s = payload
     if state.shard is not None:
         faultpoints.fire(faultpoints.SERVE_WORKER_CRASH, shard=state.shard)
-    outcomes, stats = solve_batch_tasks(
+    outcomes, spans = solve_batch_tasks(
         tasks,
         state.ctx,
-        cache=state.cache,
         assemble_unix=assemble_unix,
         assembled_s=assembled_s,
         shard=state.shard,
     )
     if state.shard is not None:
         outcomes = [_picklable_outcome(outcome) for outcome in outcomes]
-    return outcomes, stats
+    return outcomes, spans

@@ -17,7 +17,9 @@ A case passes when ``|simulated - chain| <= 4 * stderr + bias * chain``:
 the 4-sigma sampling band plus the relative bias the simulation oracle
 declares for the configuration
 (:func:`repro.verify.oracles.mc_bias_envelope`); the command exits 1 if
-any case falls outside its band.
+any case falls outside its band.  A case whose band is not below its
+chain value could not fail for any non-negative estimate, so it is
+``INCONCLUSIVE`` — too few replicas for a verdict — and also exits 1.
 """
 
 from __future__ import annotations
@@ -120,6 +122,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         worst = 0.0
         outside = 0
+        inconclusive = 0
         for config in DEFAULT_CASES:
             with obs.span("validate.case", config=config.key) as case_span:
                 mc = cached_estimate(
@@ -137,20 +140,34 @@ def main(argv: Optional[List[str]] = None) -> int:
                 z = (analytic - mc.mean_hours) / mc.std_error_hours
                 case_span.set("z", z)
             band = SIGMAS * mc.std_error_hours + mc_bias_envelope(config) * analytic
-            agrees = abs(mc.mean_hours - analytic) <= band
             worst = max(worst, abs(z))
-            outside += not agrees
+            if abs(mc.mean_hours - analytic) > band:
+                outside += 1
+                case_verdict = "OUTSIDE"
+            elif band >= analytic:
+                inconclusive += 1
+                case_verdict = "INCONCLUSIVE"
+            else:
+                case_verdict = "ok"
             print(
                 f"{config.label:<26} {mc.mean_hours:>14.4g} {analytic:>12.4g} "
-                f"{z:>+7.2f} {band:>10.4g}  {'ok' if agrees else 'OUTSIDE'}"
+                f"{z:>+7.2f} {band:>10.4g}  {case_verdict}"
             )
-        verdict = (
-            f"{outside} case(s) outside" if outside else "every case within"
-        )
+        if outside:
+            verdict = f"{outside} case(s) outside"
+        elif inconclusive:
+            verdict = f"{len(DEFAULT_CASES) - inconclusive} case(s) within"
+        else:
+            verdict = "every case within"
         print(
             f"\nworst |z| = {worst:.2f}; {verdict} the {SIGMAS:g}-sigma "
             "band + bias envelope"
         )
+        if inconclusive:
+            print(
+                f"{inconclusive} case(s) INCONCLUSIVE: the band is not below "
+                "the chain value, so the case cannot fail; raise --replicas"
+            )
         if args.verbose:
             cache_note = (
                 f"disk cache {cache.hits} hits / {cache.misses} misses"
@@ -158,7 +175,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 else "disk cache off"
             )
             print(f"[repro-validate] jobs={jobs}; {cache_note}", file=sys.stderr)
-    return 1 if outside else 0
+    return 1 if outside or inconclusive else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -147,6 +147,25 @@ class TestShipping:
             assert obs.current_tracer() is not tracer
         assert obs.current_tracer() is tracer
 
+    def test_synth_span_has_the_real_span_layout(self, tracer, tmp_path):
+        """A synthesized span carries exactly the keys of a live span's
+        ``to_dict()``, grafts under the adopting span, and the mixed
+        tree passes ``validate_trace``."""
+        with obs.span("root") as root:
+            synthetic = obs.synth_span("phase", 1.5e9, -1.0, points=3)
+            obs.adopt_spans([synthetic])
+        spans = tracer.finished()
+        real = by_name(spans, "root")[0]
+        phase = by_name(spans, "phase")[0]
+        assert set(phase) == set(real) == set(root.to_dict())
+        assert phase["parent_id"] == root.span_id
+        assert phase["wall_s"] == 0.0  # clamped, never negative
+        assert phase["attrs"] == {"points": 3}
+        assert phase["span_id"] != real["span_id"]
+        path = str(tmp_path / "synth.jsonl")
+        obs.write_trace(spans, path)
+        assert {s["name"] for s in obs.validate_trace(path)} == {"root", "phase"}
+
     def test_adopt_noop_when_disabled(self):
         assert not obs.tracing_active()
         obs.adopt_spans([{"span_id": "x-1", "parent_id": None, "name": "n"}])

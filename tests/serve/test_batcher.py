@@ -1,6 +1,7 @@
 """The coalescing batcher: grouping, identity, admission, drain."""
 
 import asyncio
+import time
 
 import pytest
 
@@ -8,6 +9,7 @@ import repro
 from repro.models.configurations import all_configurations
 from repro.core.solvers import SolveOptions
 from repro.serve.batcher import CoalescingBatcher, Overloaded
+from repro.serve.solvecore import make_state, solve_handler
 
 pytestmark = pytest.mark.serve
 
@@ -98,6 +100,51 @@ def test_mixed_methods_group_separately(baseline):
             config, baseline, options=SolveOptions(backend=backend)
         )
         assert mttdl == direct.mttdl_hours, (config.key, method)
+
+
+def test_backlogged_batch_closes_without_a_second_window(baseline):
+    """``max_wait`` runs from the first point's arrival: a point that
+    waited out the window behind a slow solve is dispatched as soon as
+    that solve returns, not one more window later."""
+    max_wait_s = 0.2
+
+    class SlowFirstRuntime:
+        """Inline solves; the first one holds the batcher for 0.5 s."""
+
+        def __init__(self):
+            self.dispatched = []
+            self.returned = []
+            self.state = make_state(False, 0)
+
+        async def asubmit(self, payload, shard=None):
+            self.dispatched.append(time.monotonic())
+            if len(self.dispatched) == 1:
+                await asyncio.sleep(0.5)
+            self.returned.append(time.monotonic())
+            return solve_handler(self.state, payload)
+
+    runtime = SlowFirstRuntime()
+    first, second = _unique_points(baseline, 2)
+
+    async def drive():
+        batcher = CoalescingBatcher(
+            max_batch_size=8, max_wait_us=int(max_wait_s * 1e6), runtime=runtime
+        )
+        batcher.start()
+        try:
+            a = batcher.submit(*first, "analytic")
+            # Arrive after the first batch closed, while it is solving.
+            await asyncio.sleep(max_wait_s + 0.05)
+            b = batcher.submit(*second, "analytic")
+            return await asyncio.gather(a, b)
+        finally:
+            await batcher.stop()
+
+    answers = asyncio.run(drive())
+    assert len(runtime.dispatched) == 2
+    assert runtime.dispatched[1] - runtime.returned[0] < max_wait_s / 2
+    for (config, params), mttdl in zip((first, second), answers):
+        assert mttdl == repro.evaluate(config, params).mttdl_hours
 
 
 def test_submit_before_start_sheds(baseline):

@@ -273,8 +273,10 @@ def test_crash_drill_dumps_flight_recorder(tmp_path):
             )
             assert status == 200
             trigger.write_text("armed")
+            # A new point: a repeat would answer from the result cache
+            # without reaching the worker.
             status, _, error = await _json_request(
-                host, port, "POST", "/v1/evaluate", body
+                host, port, "POST", "/v1/evaluate", {"config": "ft3_raid5"}
             )
             trigger.unlink()
             return status, error

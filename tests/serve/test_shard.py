@@ -1,4 +1,4 @@
-"""The sharded serve topology: routing, equality, caches, crash drills."""
+"""The sharded serve topology: routing, equality, the front cache, crash drills."""
 
 import asyncio
 import json
@@ -164,19 +164,20 @@ def test_sharded_answers_match_direct_evaluate(baseline):
 
 
 # --------------------------------------------------------------------- #
-# shard-local caches and per-shard metrics
+# the front result cache and per-shard metrics
 # --------------------------------------------------------------------- #
 
 
 def test_worker_caches_hit_and_every_shard_solves(baseline):
-    """With worker caches on, repeats of a hot key hit the shard-local
-    cache (serve.worker.cache.hits), every shard solves at least one
-    batch, and answers stay bitwise identical to the direct call."""
+    """With the result cache on, repeats of a key answer from the front
+    cache (serve.cache.hits, ``cached: true``) without reaching a shard,
+    every shard solves at least one batch, and answers stay bitwise
+    identical to the direct call."""
 
     async def drive():
         config = _shard_config(4, cache_size=256, cache_ttl_s=None)
         async with serving(config) as server:
-            for _ in range(3):
+            for round_ in range(3):
                 for cfg in all_configurations(3):
                     status, _, body = await _request(
                         server.host,
@@ -190,21 +191,25 @@ def test_worker_caches_hit_and_every_shard_solves(baseline):
                         Configuration.from_key(cfg.key), baseline
                     )
                     assert body["mttdl_hours"] == direct.mttdl_hours
-                    # The front cache is off in sharded mode; hits are a
-                    # worker-side locality effect, never a stale flag.
-                    assert body["cached"] is False
+                    assert body["cached"] is (round_ > 0)
             return server.service.metrics
 
     metrics = asyncio.run(drive())
-    assert metrics.value("serve.worker.cache.hits", 0) >= 18
+    assert metrics.value("serve.cache.hits", 0) == 18
+    assert metrics.value("serve.points", 0) == 9
     for shard in range(4):
         assert metrics.value(f"serve.shard.{shard}.batches", 0) > 0
         assert metrics.histogram(f"serve.shard.{shard}.batch.size").count > 0
 
 
-def test_front_cache_disabled_in_sharded_mode():
+def test_front_cache_answers_repeats_in_sharded_mode():
+    """The one result cache answers in every topology: a ``--workers 2``
+    service answers a repeated point with ``cached: true`` and holds it
+    in ``service.cache``."""
+
     async def drive():
         async with serving(_shard_config(2, cache_size=512)) as server:
+            bodies = []
             for _ in range(2):
                 status, _, body = await _request(
                     server.host,
@@ -214,10 +219,42 @@ def test_front_cache_disabled_in_sharded_mode():
                     {"config": "ft2_raid5"},
                 )
                 assert status == 200
-                assert body["cached"] is False
-            return len(server.service.cache)
+                bodies.append(body)
+            return bodies, len(server.service.cache)
 
-    assert asyncio.run(drive()) == 0
+    (first, second), entries = asyncio.run(drive())
+    assert first["cached"] is False
+    assert second["cached"] is True
+    assert {**second, "cached": False} == first
+    assert entries == 1
+
+
+def test_concurrent_identical_requests_solve_once_across_shards():
+    """Two identical requests in flight together reach the shards once:
+    the second awaits the first one's solve (or, if it arrives after,
+    answers from the cache) — ``serve.points`` reads 1."""
+
+    async def drive():
+        async with serving(_shard_config(2, cache_size=512)) as server:
+            replies = await asyncio.gather(
+                *(
+                    _request(
+                        server.host,
+                        server.port,
+                        "POST",
+                        "/v1/evaluate",
+                        {"config": "ft3_raid6"},
+                    )
+                    for _ in range(2)
+                )
+            )
+            return replies, server.service.metrics
+
+    replies, metrics = asyncio.run(drive())
+    assert [status for status, _, _ in replies] == [200, 200]
+    first, second = (body for _, _, body in replies)
+    assert first["mttdl_hours"] == second["mttdl_hours"]
+    assert metrics.value("serve.points", 0) == 1
 
 
 # --------------------------------------------------------------------- #

@@ -66,9 +66,57 @@ class TestValidateCli:
         out = capsys.readouterr().out
         assert "band (h)" in out
         cases = [line for line in out.splitlines()
-                 if line.endswith(("  ok", "  OUTSIDE"))]
+                 if line.endswith(("  ok", "  OUTSIDE", "  INCONCLUSIVE"))]
         assert len(cases) == 5
-        assert rc == (1 if any(c.endswith("OUTSIDE") for c in cases) else 0)
+        assert rc == (0 if all(c.endswith("  ok") for c in cases) else 1)
+
+    @staticmethod
+    def _stub_estimates(monkeypatch, mean_over_chain, stderr_over_chain):
+        """Replace the simulation with an estimate placed relative to
+        each case's chain value, so a verdict is decided without a run."""
+        from repro.sim import cli
+        from repro.sim.monte_carlo import MonteCarloResult
+
+        def chain_value(config, params):
+            if config.internal is cli.InternalRaid.NONE:
+                return config.mttdl_hours(params)
+            return cli.InternalRaidNodeModel(
+                params, config.internal, config.node_fault_tolerance,
+                rates_method="exact",
+            ).mttdl_exact()
+
+        def fake(config, params, replicas, seed, jobs, cache):
+            chain = chain_value(config, params)
+            return MonteCarloResult(
+                mean_hours=mean_over_chain * chain,
+                std_error_hours=stderr_over_chain * chain,
+                replicas=replicas,
+                loss_causes=(),
+            )
+
+        monkeypatch.setattr(cli, "cached_estimate", fake)
+
+    def test_band_not_below_chain_value_is_inconclusive(
+        self, capsys, monkeypatch
+    ):
+        """A band as wide as the chain value cannot fail for any
+        non-negative estimate: every case prints INCONCLUSIVE, the
+        summary counts them, and the command exits 1."""
+        self._stub_estimates(monkeypatch, 0.9, 0.3)  # 4 x 0.3 > 1
+        rc = main(["--replicas", "10", "--no-cache"])
+        out = capsys.readouterr().out
+        cases = [line for line in out.splitlines() if line.endswith("  INCONCLUSIVE")]
+        assert len(cases) == 5
+        assert "every case within" not in out
+        assert "5 case(s) INCONCLUSIVE" in out
+        assert rc == 1
+
+    def test_narrow_band_decides(self, capsys, monkeypatch):
+        self._stub_estimates(monkeypatch, 1.01, 0.01)
+        assert main(["--replicas", "10", "--no-cache"]) == 0
+        out = capsys.readouterr().out
+        assert "every case within" in out
+        assert "INCONCLUSIVE" not in out
 
     def test_trace_and_metrics_export(self, capsys, tmp_path):
         from repro.obs import tree_coverage, validate_trace
