@@ -2,18 +2,18 @@
 
 Reliability chains mix rates spanning (mu/lambda)^k orders of magnitude.
 This benchmark measures both solvers' accuracy against exact rational
-arithmetic on the paper's chains, and their speed on the large recursive
-chains — quantifying why the library solves with GTH.
+arithmetic on the paper's chains, and their speed on the large
+no-internal-RAID chains of higher fault tolerance — quantifying why the library solves with GTH.
 """
 
 import numpy as np
 import pytest
 from scipy import linalg as sla
-from _bench_utils import emit_text
+from _bench_utils import emit_text, host_facts
 
 from repro.analysis import format_table
 from repro.core import exact_mttdl
-from repro.models import NoRaidNodeModel, Parameters, RecursiveNoRaidModel
+from repro.models import NoRaidNodeModel, Parameters
 
 
 def lu_mttdl(chain):
@@ -33,7 +33,7 @@ def lu_mttdl(chain):
 @pytest.mark.parametrize("k", [2, 4, 6])
 def test_gth_solve_speed(benchmark, k):
     params = Parameters.with_overrides(node_set_size=128, redundancy_set_size=16)
-    chain = RecursiveNoRaidModel(params, k).chain()
+    chain = NoRaidNodeModel(params, k).chain()
     mttdl = benchmark(chain.mean_time_to_absorption)
     assert mttdl > 0
 
@@ -47,7 +47,7 @@ def test_gth_vs_lu_accuracy_report():
         ("Figure 10 (t=3)", NoRaidNodeModel(params, 3).chain()),
     ]
     big = Parameters.with_overrides(node_set_size=128, redundancy_set_size=16)
-    cases.append(("recursive k=5 (N=128)", RecursiveNoRaidModel(big, 5).chain()))
+    cases.append(("no-RAID k=5 (N=128)", NoRaidNodeModel(big, 5).chain()))
     for name, chain in cases:
         if chain.num_states <= 20:
             exact = float(exact_mttdl(chain))
@@ -67,7 +67,7 @@ def test_gth_vs_lu_accuracy_report():
         )
     emit_text(
         "Solver accuracy on reliability chains (reference: exact rational "
-        "arithmetic where feasible)\n" + format_table(rows),
+        "arithmetic where feasible)\n" + format_table(rows) + "\n" + host_facts(),
         "gth_solver.txt",
     )
 
@@ -76,7 +76,7 @@ def test_lu_is_wrong_on_very_stiff_chain():
     """The motivating failure: on the k=6 condition-1e17 chain LU is off
     by tens of percent while GTH matches Figure A1 to ~1%."""
     params = Parameters.with_overrides(node_set_size=128, redundancy_set_size=16)
-    model = RecursiveNoRaidModel(params, 6)
+    model = NoRaidNodeModel(params, 6)
     chain = model.chain()
     gth = chain.mean_time_to_absorption()
     lu = lu_mttdl(chain)

@@ -1,15 +1,16 @@
-"""Appendix scaling: recursive chain construction and GTH solve time as a
-function of fault tolerance k, plus Figure A1 agreement at every k.
+"""Appendix scaling: no-internal-RAID chain construction (the appendix's
+level-by-level doubling) and GTH solve time as a function of fault
+tolerance k, plus Figure A1 agreement at every k.
 
 The chain has 2^(k+1) - 1 states and the solve is O(states^3); the GTH
 elimination keeps it accurate even at condition numbers beyond 1e16.
 """
 
 import pytest
-from _bench_utils import emit_text
+from _bench_utils import emit_text, host_facts
 
 from repro.analysis import format_table
-from repro.models import Parameters, RecursiveNoRaidModel
+from repro.models import NoRaidNodeModel, Parameters
 
 
 @pytest.fixture(scope="module")
@@ -19,7 +20,7 @@ def params():
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7])
 def test_recursive_solve_scaling(benchmark, params, k):
-    model = RecursiveNoRaidModel(params, fault_tolerance=k)
+    model = NoRaidNodeModel(params, fault_tolerance=k)
     mttdl = benchmark(model.mttdl_exact)
     assert mttdl > 0
     if k == 1:
@@ -35,7 +36,7 @@ def test_recursive_solve_scaling(benchmark, params, k):
 def test_recursive_scaling_report(params):
     rows = [["k", "states", "MTTDL exact (h)", "Figure A1 (h)", "ratio"]]
     for k in range(1, 8):
-        model = RecursiveNoRaidModel(params, fault_tolerance=k)
+        model = NoRaidNodeModel(params, fault_tolerance=k)
         chain = model.chain()
         exact = chain.mean_time_to_absorption()
         approx = model.mttdl_approx()
@@ -50,6 +51,8 @@ def test_recursive_scaling_report(params):
         )
     emit_text(
         "Appendix: recursive construction, arbitrary fault tolerance\n"
-        + format_table(rows),
+        + format_table(rows)
+        + "\n"
+        + host_facts(),
         "recursive_scaling.txt",
     )

@@ -21,7 +21,7 @@ bind arm, and archives the wall times in
 import time
 
 import numpy as np
-from _bench_utils import archive, show
+from _bench_utils import archive, host_facts, show
 
 from repro.analysis import format_table
 from repro.models.no_raid import legacy_build_no_raid_chain_ft3
@@ -99,7 +99,8 @@ def test_spec_bind_speedup_report():
         f"no-RAID ft3 chain ({compiled.num_states} states), "
         f"{POINTS}-point drive-MTTF sweep: rebuild vs bind\n"
         + format_table(rows)
-        + "\ngenerator matrices bitwise identical across all arms"
+        + "\ngenerator matrices bitwise identical across all arms\n"
+        + host_facts()
     )
     assert batch_speedup >= 2.0, (
         f"bind_batch speedup {batch_speedup:.2f}x < 2x over legacy rebuild"

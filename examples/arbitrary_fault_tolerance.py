@@ -3,8 +3,9 @@
 
 The paper hand-draws the no-internal-RAID chains up to fault tolerance 3
 (Figures 8-10) and gives a recursive construction plus a closed form
-(Figure A1) for arbitrary k.  This example pushes both well past the
-paper: chains for k = 1..6 (up to 127 states), exact numeric solves vs
+(Figure A1) for arbitrary k.  The library's one no-internal-RAID model
+builds every k that way (Figures 8-10 are its k = 1, 2, 3 cases); this
+example pushes it well past the paper: chains for k = 1..6 (up to 127 states), exact numeric solves vs
 the closed form, and the diminishing returns of additional tolerance.
 
 Run:  python examples/arbitrary_fault_tolerance.py
@@ -13,7 +14,7 @@ Run:  python examples/arbitrary_fault_tolerance.py
 from repro import Parameters
 from repro.models import (
     PAPER_TARGET_EVENTS_PER_PB_YEAR,
-    RecursiveNoRaidModel,
+    NoRaidNodeModel,
     events_per_pb_year,
 )
 
@@ -33,7 +34,7 @@ def main() -> None:
           f"{'Figure A1 (h)':>14} {'ratio':>7} {'events/PB-yr':>13} target")
     previous = None
     for k in range(1, 7):
-        model = RecursiveNoRaidModel(params, fault_tolerance=k)
+        model = NoRaidNodeModel(params, fault_tolerance=k)
         chain = model.chain()
         exact = chain.mean_time_to_absorption()
         approx = model.mttdl_approx()

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..models.parameters import Parameters
-from ..models.recursive import RecursiveNoRaidModel
+from ..models.no_raid import NoRaidNodeModel
 
 __all__ = ["ValidityPoint", "validity_map", "separation_ratio"]
 
@@ -87,7 +87,7 @@ def validity_map(
             node_mttf_hours=base.node_mttf_hours * scale,
             drive_mttf_hours=base.drive_mttf_hours * scale,
         )
-        model = RecursiveNoRaidModel(params, fault_tolerance)
+        model = NoRaidNodeModel(params, fault_tolerance)
         exact = model.mttdl_exact()
         approx = model.mttdl_approx()
         points.append(

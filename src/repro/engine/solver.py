@@ -62,7 +62,7 @@ from ..core.solvers import (
 )
 from ..core.solvers import solve as _core_solve
 from ..core.spec import CompiledChain, ModelSpec
-from ..models.configurations import Configuration
+from ..models.configurations import Configuration, NodeModel
 from ..models.internal_raid import InternalRaidNodeModel
 from ..models.parameters import ParameterColumns, Parameters
 from ..models.raid import ArrayRates, InternalRaid, array_model
@@ -226,28 +226,25 @@ def _array_rates(
     )
 
 
-def _spec_and_env(
+def _node_model(
     config: Configuration,
     source: Union[Parameters, ParameterColumns],
     members: Sequence[Parameters],
     ctx: SolveContext,
     rates_method: str = "approx",
-) -> Tuple[ModelSpec, Env]:
-    """The (spec, binding environment) of one configuration's points
-    (``members``), computed once over ``source``: their columns, or the
-    single member's own :class:`Parameters`."""
+) -> NodeModel:
+    """The node model of one configuration's points (``members``), built
+    once over ``source``: their columns, or the single member's own
+    :class:`Parameters`.  Internal RAID draws its array rates from the
+    memo."""
     if config.internal is InternalRaid.NONE:
-        model = config.model(source)
-    else:
-        model = InternalRaidNodeModel(
-            source,
-            config.internal,
-            config.node_fault_tolerance,
-            array_rates=_array_rates(
-                config.internal, source, members, ctx, rates_method
-            ),
-        )
-    return model.spec(), model.chain_env()
+        return config.model(source)
+    return InternalRaidNodeModel(
+        source,
+        config.internal,
+        config.node_fault_tolerance,
+        array_rates=_array_rates(config.internal, source, members, ctx, rates_method),
+    )
 
 
 class PreparedGroup(NamedTuple):
@@ -298,8 +295,9 @@ def prepare_groups(
             if shared is None:
                 shared = columns[ids] = ParameterColumns(params)
             source = shared
-        spec, env = _spec_and_env(config, source, params, ctx, rates_method)
-        compiled = ctx.compile(spec)
+        model = _node_model(config, source, params, ctx, rates_method)
+        env = model.chain_env()
+        compiled = ctx.compile(model.spec())
         _, envs, parts = by_hash.setdefault(
             compiled.spec_hash, (compiled, [], [])
         )
@@ -335,15 +333,7 @@ def closed_form_mttdl(
     config: Configuration, params: Parameters, ctx: SolveContext
 ) -> float:
     """MTTDL (hours) by the paper's closed forms, through the array memo."""
-    if config.internal is InternalRaid.NONE:
-        return config.mttdl_hours(params, "approx")
-    model = InternalRaidNodeModel(
-        params,
-        config.internal,
-        config.node_fault_tolerance,
-        array_rates=_array_rates(config.internal, params, [params], ctx),
-    )
-    return model.mttdl_approx()
+    return _node_model(config, params, [params], ctx).mttdl_approx()
 
 
 def _bind(compiled: CompiledChain, env: Env) -> List[CTMC]:

@@ -56,12 +56,7 @@ from .metrics import (
     mttdl_hours_to_events_per_year,
 )
 from .monolithic import MonolithicSystem
-from .no_raid import (
-    NoRaidNodeModel,
-    build_no_raid_chain_ft1,
-    build_no_raid_chain_ft2,
-    build_no_raid_chain_ft3,
-)
+from .no_raid import NoRaidNodeModel, build_no_raid_chain
 from .parameters import GB, HOURS_PER_YEAR, KB, MB, ParameterError, Parameters
 from .performance import PerformanceImpact, PerformanceImpactModel
 from .raid import (
@@ -87,12 +82,7 @@ from .space import (
     SpacePoint,
     storage_overhead,
 )
-from .recursive import (
-    RecursiveNoRaidModel,
-    build_recursive_chain,
-    l_k,
-    l_value,
-)
+from .recursive import l_k, l_value
 
 __all__ = [
     "ALL_CONFIGURATIONS",
@@ -124,7 +114,6 @@ __all__ = [
     "Raid5Model",
     "Raid6Model",
     "RebuildModel",
-    "RecursiveNoRaidModel",
     "ReliabilityResult",
     "SECTOR_BYTES",
     "ScrubbingModel",
@@ -135,12 +124,9 @@ __all__ = [
     "all_configurations",
     "array_model",
     "build_internal_raid_chain",
-    "build_no_raid_chain_ft1",
-    "build_no_raid_chain_ft2",
-    "build_no_raid_chain_ft3",
+    "build_no_raid_chain",
     "build_raid5_chain",
     "build_raid6_chain",
-    "build_recursive_chain",
     "critical_fraction",
     "evaluate",
     "evaluate_all",

@@ -10,7 +10,7 @@ the numeric chain solves:
 * no internal RAID x node fault tolerance 1/2/3 (Section 4.3 and
   Figure 12) — with the paper's ``lambda_D`` typo corrected to
   ``lambda_d`` (see DESIGN.md), and
-* the general Figure A1 formula re-exported from
+* the general Figure A1 formula (any fault tolerance) re-exported from
   :mod:`repro.models.recursive`.
 """
 

@@ -21,7 +21,6 @@ from .no_raid import NoRaidNodeModel
 from .parameters import Parameters
 from .raid import InternalRaid
 from .rebuild import RebuildModel
-from .recursive import RecursiveNoRaidModel
 
 __all__ = [
     "Configuration",
@@ -32,7 +31,7 @@ __all__ = [
     "evaluate_all",
 ]
 
-NodeModel = Union[InternalRaidNodeModel, NoRaidNodeModel, RecursiveNoRaidModel]
+NodeModel = Union[InternalRaidNodeModel, NoRaidNodeModel]
 
 
 @dataclass(frozen=True)
@@ -97,15 +96,9 @@ class Configuration:
     def model(
         self, params: Parameters, rebuild: Optional[RebuildModel] = None
     ) -> NodeModel:
-        """Instantiate the reliability model for this configuration.
-
-        Uses the hand-transcribed figure chains for no-internal-RAID at
-        t <= 3 and the recursive construction beyond.
-        """
+        """Instantiate the reliability model for this configuration."""
         if self.internal is InternalRaid.NONE:
-            if self.node_fault_tolerance <= 3:
-                return NoRaidNodeModel(params, self.node_fault_tolerance, rebuild)
-            return RecursiveNoRaidModel(params, self.node_fault_tolerance, rebuild)
+            return NoRaidNodeModel(params, self.node_fault_tolerance, rebuild)
         return InternalRaidNodeModel(
             params, self.internal, self.node_fault_tolerance, rebuild
         )
@@ -133,12 +126,6 @@ class Configuration:
         if method == "exact":
             return model.mttdl_exact()
         if method == "approx":
-            if isinstance(model, NoRaidNodeModel):
-                # The explicit figures have no own approximation; Figure A1
-                # covers them.
-                return RecursiveNoRaidModel(
-                    params, self.node_fault_tolerance, rebuild
-                ).mttdl_approx()
             return model.mttdl_approx()
         raise ValueError(f"unknown method {method!r}; use 'exact' or 'approx'")
 

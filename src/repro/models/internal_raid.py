@@ -149,8 +149,7 @@ class InternalRaidNodeModel:
             raise ValueError("fault_tolerance must be >= 1")
         if raid_level is InternalRaid.NONE:
             raise ValueError(
-                "use repro.models.no_raid / repro.models.recursive for nodes "
-                "without internal RAID"
+                "use repro.models.no_raid for nodes without internal RAID"
             )
         if rates_method not in ("approx", "exact"):
             raise ValueError("rates_method must be 'approx' or 'exact'")

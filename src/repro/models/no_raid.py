@@ -1,18 +1,22 @@
-"""Markov models for nodes *without* internal RAID (Figures 8, 9, 10).
+"""Markov models for nodes *without* internal RAID (Figures 8-10 and
+the appendix).
 
 Without internal RAID, individual drives participate directly in the
 cross-node erasure code (at most one drive of a node per redundancy set),
 so a drive failure and a node failure are *distinct* degraded states with
 different repair rates (``mu_d`` vs ``mu_N``).  The state space therefore
-doubles with each additional tolerated failure.
+doubles with each additional tolerated failure: the appendix builds the
+fault-tolerance-``k`` chain from two copies of the ``k - 1`` chain under
+a new root, ``2^(k+1) - 1`` non-absorbing states, and Figures 8, 9 and 10
+are its ``k = 1, 2, 3`` cases.
 
-The chains are declared once in :mod:`repro.models.specs` (states plus
-symbolic rates over the paper's parameters) and bound here per operating
-point; the original hand-transcribed builders are kept as
-``legacy_build_no_raid_chain_ft*`` oracles, and the test suite asserts
-bitwise generator equality between the two paths.  The appendix's
-recursive construction (:mod:`repro.models.recursive`) must also produce
-exactly these chains — the suite checks that for k = 1, 2, 3.
+One family serves every ``k``: the chain is declared once in
+:func:`repro.models.specs.no_raid_spec` (states plus symbolic rates over
+the paper's parameters) and bound here per operating point.  The original
+hand-transcribed figure builders are kept as
+``legacy_build_no_raid_chain_ft*`` oracles, and the appendix-literal
+recursion as :func:`repro.models.recursive.legacy_build_recursive_chain`;
+the test suite checks the family against both.
 
 State labels are failure words: ``"0"*k`` is fully operational; a word
 like ``"Nd0"`` means a node failure followed by a drive failure, one more
@@ -23,79 +27,52 @@ of Section 5.2.2.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Mapping, Optional, Tuple
 
 from ..core import CTMC, ChainBuilder
 from ..core.spec import ModelSpec
 from .critical_sets import h_parameters
 from .parameters import Parameters
 from .rebuild import RebuildModel
-from .specs import compiled, no_raid_env, no_raid_spec
+from .recursive import legacy_build_recursive_chain, mttdl_general_approx
+from .specs import check_node_count, compiled, no_raid_env, no_raid_spec
 
 __all__ = [
-    "build_no_raid_chain_ft1",
-    "build_no_raid_chain_ft2",
-    "build_no_raid_chain_ft3",
+    "build_no_raid_chain",
     "NoRaidNodeModel",
 ]
 
 LOSS = "loss"
 
 
-def build_no_raid_chain_ft1(
+def build_no_raid_chain(
+    fault_tolerance: int,
     n: int,
     d: int,
     node_failure_rate: float,
     drive_failure_rate: float,
     node_rebuild_rate: float,
     drive_rebuild_rate: float,
-    h_n: float,
-    h_d: float,
+    h: Mapping[str, float],
 ) -> CTMC:
-    """Figure 8: fault tolerance 1, no internal RAID.
+    """The no-internal-RAID chain for fault tolerance ``k``.
 
     Args:
-        n: node set size.
+        fault_tolerance: k >= 1 (Figure 8, 9, 10 for k = 1, 2, 3).
+        n: node set size (must exceed k).
         d: drives per node.
         node_failure_rate: lambda_N.
         drive_failure_rate: lambda_d.
         node_rebuild_rate: mu_N.
         drive_rebuild_rate: mu_d.
-        h_n: probability of a hard error during a node rebuild,
-            ``d (R-1) C HER``.
-        h_d: probability of a hard error during a drive rebuild,
-            ``(R-1) C HER``.
+        h: every failure word of length k mapped to the probability of a
+            hard error during the rebuild it forces (Section 5.2.2; see
+            :func:`repro.models.critical_sets.h_parameters`).  For k = 1
+            the words are ``"N"`` (``d (R-1) C HER``) and ``"d"``
+            (``(R-1) C HER``).
     """
     env = no_raid_env(
-        1,
-        n,
-        d,
-        node_failure_rate,
-        drive_failure_rate,
-        node_rebuild_rate,
-        drive_rebuild_rate,
-        {"N": h_n, "d": h_d},
-    )
-    return compiled(no_raid_spec(1)).bind(env)
-
-
-def build_no_raid_chain_ft2(
-    n: int,
-    d: int,
-    node_failure_rate: float,
-    drive_failure_rate: float,
-    node_rebuild_rate: float,
-    drive_rebuild_rate: float,
-    h: Dict[str, float],
-) -> CTMC:
-    """Figure 9: fault tolerance 2, no internal RAID.
-
-    ``h`` maps the four failure words {"NN", "Nd", "dN", "dd"} to the
-    probabilities of a hard error during the second rebuild (Section
-    5.2.2).
-    """
-    env = no_raid_env(
-        2,
+        fault_tolerance,
         n,
         d,
         node_failure_rate,
@@ -104,34 +81,7 @@ def build_no_raid_chain_ft2(
         drive_rebuild_rate,
         h,
     )
-    return compiled(no_raid_spec(2)).bind(env)
-
-
-def build_no_raid_chain_ft3(
-    n: int,
-    d: int,
-    node_failure_rate: float,
-    drive_failure_rate: float,
-    node_rebuild_rate: float,
-    drive_rebuild_rate: float,
-    h: Dict[str, float],
-) -> CTMC:
-    """Figure 10: fault tolerance 3, no internal RAID.
-
-    ``h`` maps the eight failure words of length 3 over {N, d} to hard-
-    error probabilities during the third rebuild.
-    """
-    env = no_raid_env(
-        3,
-        n,
-        d,
-        node_failure_rate,
-        drive_failure_rate,
-        node_rebuild_rate,
-        drive_rebuild_rate,
-        h,
-    )
-    return compiled(no_raid_spec(3)).bind(env)
+    return compiled(no_raid_spec(fault_tolerance)).bind(env)
 
 
 # --------------------------------------------------------------------- #
@@ -248,14 +198,23 @@ def legacy_build_no_raid_chain_ft3(
     return b.build(initial_state="000")
 
 
-class NoRaidNodeModel:
-    """MTTDL model for [no internal RAID x node fault tolerance t], t <= 3.
+#: The hand-transcribed figure builders by fault tolerance, each called
+#: with the whole h-word map (oracles for :meth:`legacy_chain`).
+_FIGURE_ORACLES = {
+    1: lambda *args, h: legacy_build_no_raid_chain_ft1(*args, h["N"], h["d"]),
+    2: legacy_build_no_raid_chain_ft2,
+    3: legacy_build_no_raid_chain_ft3,
+}
 
-    For arbitrary ``t`` use :class:`repro.models.recursive.RecursiveNoRaidModel`;
-    this class transcribes the figures directly and is the ground truth the
-    recursion is tested against.  ``params`` may be a
-    :class:`~repro.models.parameters.ParameterColumns`, for which
-    :meth:`chain_env` returns every member's environment as columns.
+
+class NoRaidNodeModel:
+    """MTTDL model for [no internal RAID x node fault tolerance k], k >= 1.
+
+    Exact (numeric solve of the chain) and approximate (Figure A1).
+    ``params`` may be a :class:`~repro.models.parameters.ParameterColumns`,
+    for which :meth:`chain_env` returns every member's environment as
+    columns.  The chain has ``2^(k+1) - 1`` states, so stay modest;
+    k = 10 is about 2000 states and solves in milliseconds.
     """
 
     def __init__(
@@ -264,11 +223,9 @@ class NoRaidNodeModel:
         fault_tolerance: int,
         rebuild: Optional[RebuildModel] = None,
     ) -> None:
-        if fault_tolerance not in (1, 2, 3):
-            raise ValueError(
-                "explicit chains exist for fault tolerance 1-3 only; use "
-                "RecursiveNoRaidModel for higher tolerance"
-            )
+        if fault_tolerance < 1:
+            raise ValueError("fault_tolerance must be >= 1")
+        check_node_count(params.node_set_size, fault_tolerance)
         self._params = params
         self._t = fault_tolerance
         self._rebuild = rebuild if rebuild is not None else RebuildModel(params)
@@ -290,53 +247,53 @@ class NoRaidNodeModel:
         return self._rebuild.drive_rebuild_rate(self._t)
 
     def hard_error_parameters(self) -> Dict[str, float]:
-        """The ``h_alpha`` probabilities for this configuration."""
+        """All ``2^k`` h-parameters (Section 5.2.2 generalized)."""
         return h_parameters(self._params, self._t)
 
+    def _args(self) -> Tuple[float, ...]:
+        """``n, d, lambda_N, lambda_d, mu_N, mu_d``: the builders' leading
+        arguments at this operating point."""
+        p = self._params
+        return (
+            p.node_set_size,
+            p.drives_per_node,
+            p.node_failure_rate,
+            p.drive_failure_rate,
+            self.node_rebuild_rate,
+            self.drive_rebuild_rate,
+        )
+
     def spec(self) -> ModelSpec:
-        """The declarative form of the Figure 8/9/10 chain."""
+        """The declarative form of the chain."""
         return no_raid_spec(self._t)
 
     def chain_env(self) -> Dict[str, float]:
         """The binding environment for :meth:`spec` at this operating point."""
-        p = self._params
-        return no_raid_env(
-            self._t,
-            p.node_set_size,
-            p.drives_per_node,
-            p.node_failure_rate,
-            p.drive_failure_rate,
-            self.node_rebuild_rate,
-            self.drive_rebuild_rate,
-            self.hard_error_parameters(),
-        )
+        return no_raid_env(self._t, *self._args(), self.hard_error_parameters())
 
     def chain(self) -> CTMC:
-        """The Figure 8/9/10 chain, bound through the compiled spec."""
+        """The chain, bound through the compiled spec."""
         return compiled(self.spec()).bind(self.chain_env())
 
     def legacy_chain(self) -> CTMC:
-        """The same chain through the original imperative builder — the
-        oracle the spec path is checked against (bitwise)."""
-        p = self._params
+        """The same chain through an imperative oracle: the hand-drawn
+        Figure 8/9/10 builder for k <= 3, the appendix-literal recursion
+        beyond."""
         h = self.hard_error_parameters()
-        args = (
-            p.node_set_size,
-            p.drives_per_node,
-            p.node_failure_rate,
-            p.drive_failure_rate,
-            self.node_rebuild_rate,
-            self.drive_rebuild_rate,
-        )
-        if self._t == 1:
-            return legacy_build_no_raid_chain_ft1(*args, h["N"], h["d"])
-        if self._t == 2:
-            return legacy_build_no_raid_chain_ft2(*args, h)
-        return legacy_build_no_raid_chain_ft3(*args, h)
+        figure = _FIGURE_ORACLES.get(self._t)
+        if figure is None:
+            return legacy_build_recursive_chain(self._t, *self._args(), h)
+        return figure(*self._args(), h=h)
 
     def mttdl_exact(self) -> float:
         """MTTDL in hours from the numeric CTMC solve."""
         return self.chain().mean_time_to_absorption()
+
+    def mttdl_approx(self) -> float:
+        """Figure A1's closed-form approximation."""
+        return mttdl_general_approx(
+            self._t, *self._args(), self.hard_error_parameters()
+        )
 
 
 def _check(n: int, d: int, t: int) -> None:

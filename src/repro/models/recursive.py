@@ -1,15 +1,16 @@
-"""Recursive construction of no-internal-RAID chains (paper appendix).
+"""The appendix's closed form and its literal recursive construction.
 
-The appendix observes that the fault-tolerance-``k`` chain contains two
-copies of the fault-tolerance-``k-1`` chain (one entered by a node
-failure, one by a drive failure) plus a new root, giving ``2^(k+1) - 1``
-non-absorbing states.  This module implements:
+The appendix observes that the fault-tolerance-``k`` no-internal-RAID
+chain contains two copies of the fault-tolerance-``k-1`` chain (one
+entered by a node failure, one by a drive failure) plus a new root,
+giving ``2^(k+1) - 1`` non-absorbing states.  The production chain for
+every ``k`` is :func:`repro.models.specs.no_raid_spec`, bound by
+:class:`repro.models.no_raid.NoRaidNodeModel`.  This module holds:
 
-* :func:`build_recursive_chain` — the literal recursive construction
-  (merge the absorbing states, prefix the labels, decrement N, prefix the
-  h-subscripts, wire the new root);
-* :class:`RecursiveNoRaidModel` — the user-facing model for arbitrary
-  fault tolerance, exact (numeric solve) and approximate (Figure A1);
+* :func:`legacy_build_recursive_chain` — the literal recursive
+  construction (merge the absorbing states, prefix the labels, decrement
+  N, prefix the h-subscripts, wire the new root), kept as an oracle the
+  one family is checked against;
 * :func:`l_value` / :func:`l_k` — the appendix's ``L`` and ``L_k``
   recursions; and
 * :func:`mttdl_general_approx` — Figure A1's closed form
@@ -23,19 +24,11 @@ non-absorbing states.  This module implements:
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Sequence
 
 from ..core import CTMC, ChainBuilder
-from ..core.spec import ModelSpec
-from .critical_sets import h_parameters
-from .parameters import Parameters
-from .rebuild import RebuildModel
-from .specs import check_node_count, compiled, recursive_env, recursive_spec
 
 __all__ = [
-    "build_recursive_chain",
-    "RecursiveNoRaidModel",
     "l_value",
     "l_k",
     "mttdl_general_approx",
@@ -99,47 +92,6 @@ def _build_level(
             h,
             n_total,
         )
-
-
-def build_recursive_chain(
-    fault_tolerance: int,
-    n: int,
-    d: int,
-    node_failure_rate: float,
-    drive_failure_rate: float,
-    node_rebuild_rate: float,
-    drive_rebuild_rate: float,
-    h: Mapping[str, float],
-) -> CTMC:
-    """The appendix's no-internal-RAID chain for arbitrary fault tolerance.
-
-    Produces ``2^(k+1) - 1`` non-absorbing states labeled by failure words
-    (prefix of letters over {N, d} padded with "0"s) plus one absorbing
-    ``"loss"`` state.  For k = 1, 2, 3 the result is generator-identical
-    to the hand-transcribed Figures 8-10.
-
-    Args:
-        fault_tolerance: k >= 1.
-        n: node set size (must exceed k).
-        d: drives per node.
-        node_failure_rate: lambda_N.
-        drive_failure_rate: lambda_d.
-        node_rebuild_rate: mu_N.
-        drive_rebuild_rate: mu_d.
-        h: mapping from every failure word of length k to its hard-error
-            probability (see :func:`repro.models.critical_sets.h_parameters`).
-    """
-    env = recursive_env(
-        fault_tolerance,
-        n,
-        d,
-        node_failure_rate,
-        drive_failure_rate,
-        node_rebuild_rate,
-        drive_rebuild_rate,
-        h,
-    )
-    return compiled(recursive_spec(fault_tolerance)).bind(env)
 
 
 def legacy_build_recursive_chain(
@@ -284,106 +236,3 @@ def _words(k: int) -> List[str]:
         words = [w + letter for w in words for letter in "Nd"]
     # Build in prefix-major order: ["NN", "Nd", "dN", "dd"] for k = 2.
     return sorted(words, key=lambda w: [0 if c == "N" else 1 for c in w])
-
-
-class RecursiveNoRaidModel:
-    """No-internal-RAID model for arbitrary cross-node fault tolerance.
-
-    Args:
-        params: system parameters, or a
-            :class:`~repro.models.parameters.ParameterColumns`, for which
-            :meth:`chain_env` returns every member's environment as
-            columns.
-        fault_tolerance: k >= 1 (the chain has ``2^(k+1) - 1`` states, so
-            stay modest; k = 10 is ~2000 states and solves in milliseconds).
-        rebuild: optional shared rebuild model.
-    """
-
-    def __init__(
-        self,
-        params: Parameters,
-        fault_tolerance: int,
-        rebuild: Optional[RebuildModel] = None,
-    ) -> None:
-        if fault_tolerance < 1:
-            raise ValueError("fault_tolerance must be >= 1")
-        check_node_count(params.node_set_size, fault_tolerance)
-        self._params = params
-        self._t = fault_tolerance
-        self._rebuild = rebuild if rebuild is not None else RebuildModel(params)
-
-    @property
-    def params(self) -> Parameters:
-        return self._params
-
-    @property
-    def fault_tolerance(self) -> int:
-        return self._t
-
-    @property
-    def node_rebuild_rate(self) -> float:
-        return self._rebuild.node_rebuild_rate(self._t)
-
-    @property
-    def drive_rebuild_rate(self) -> float:
-        return self._rebuild.drive_rebuild_rate(self._t)
-
-    def hard_error_parameters(self) -> Dict[str, float]:
-        """All ``2^k`` h-parameters (Section 5.2.2 generalized)."""
-        return h_parameters(self._params, self._t)
-
-    def spec(self) -> ModelSpec:
-        """The declarative form of the appendix chain."""
-        return recursive_spec(self._t)
-
-    def chain_env(self) -> Dict[str, float]:
-        """The binding environment for :meth:`spec` at this operating point."""
-        p = self._params
-        return recursive_env(
-            self._t,
-            p.node_set_size,
-            p.drives_per_node,
-            p.node_failure_rate,
-            p.drive_failure_rate,
-            self.node_rebuild_rate,
-            self.drive_rebuild_rate,
-            self.hard_error_parameters(),
-        )
-
-    def chain(self) -> CTMC:
-        """The recursively-constructed CTMC, bound through the compiled
-        spec."""
-        return compiled(self.spec()).bind(self.chain_env())
-
-    def legacy_chain(self) -> CTMC:
-        """The same chain through the original recursive builder — the
-        oracle the spec path is checked against (bitwise)."""
-        p = self._params
-        return legacy_build_recursive_chain(
-            self._t,
-            p.node_set_size,
-            p.drives_per_node,
-            p.node_failure_rate,
-            p.drive_failure_rate,
-            self.node_rebuild_rate,
-            self.drive_rebuild_rate,
-            self.hard_error_parameters(),
-        )
-
-    def mttdl_exact(self) -> float:
-        """MTTDL in hours from the numeric CTMC solve."""
-        return self.chain().mean_time_to_absorption()
-
-    def mttdl_approx(self) -> float:
-        """Figure A1's closed-form approximation."""
-        p = self._params
-        return mttdl_general_approx(
-            self._t,
-            p.node_set_size,
-            p.drives_per_node,
-            p.node_failure_rate,
-            p.drive_failure_rate,
-            self.node_rebuild_rate,
-            self.drive_rebuild_rate,
-            self.hard_error_parameters(),
-        )

@@ -9,16 +9,20 @@ expressions over the paper's parameters (``lambda_N``, ``lambda_d``,
 arguments into binding environments — scalars for a single chain, numpy
 arrays for a whole lattice in one :meth:`CompiledChain.bind_batch` pass.
 
-Bit-exactness: every spec below is a line-for-line transcription of the
-corresponding hand-written builder in :mod:`repro.models.no_raid`,
-:mod:`repro.models.internal_raid`, :mod:`repro.models.raid` and
-:mod:`repro.models.recursive` — same state registration order (which
-fixes the generator layout and the GTH elimination order), same rate
-formulas in the same operation order, same clamping.  The legacy
-builders are kept as ``legacy_build_*`` oracles and the test suite
-asserts bitwise generator equality between both paths for every family.
-The detection-latency spec has no legacy builder left; its generators
-are pinned bitwise by frozen fixtures instead.
+Bit-exactness: each spec reproduces the corresponding hand-written
+builder's state registration order (which fixes the generator layout
+and the GTH elimination order), rate formulas in the same operation
+order, and clamping.  The legacy builders are kept as ``legacy_build_*``
+oracles in :mod:`repro.models.no_raid`, :mod:`repro.models.internal_raid`,
+:mod:`repro.models.raid` and :mod:`repro.models.recursive`, and the test
+suite asserts bitwise generator equality against them.  The one
+no-internal-RAID spec builds every fault tolerance level by level (the
+appendix's doubling): it equals Figures 8 and 10 bitwise, and Figure 9
+up to the order its exit-rate sums add (``"loss"`` registers after
+``"Nd"``, not last), with bitwise off-diagonal rates and MTTDL.  Beyond
+``k = 3`` it matches the appendix-literal recursion within a few ulp
+per rate.  The detection-latency spec has no legacy builder left; its
+generators are pinned bitwise by frozen fixtures instead.
 
 Specs are memoized per structural signature (family + fault tolerance +
 flags) and their compiled forms live in a module-level
@@ -29,7 +33,7 @@ each shape exactly once no matter how many points it binds.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Mapping, Union
+from typing import Dict, Mapping, Tuple, Union
 
 import numpy as np
 
@@ -47,8 +51,6 @@ __all__ = [
     "LOSS_SECTOR",
     "no_raid_spec",
     "no_raid_env",
-    "recursive_spec",
-    "recursive_env",
     "internal_raid_spec",
     "internal_raid_env",
     "detection_spec",
@@ -92,88 +94,56 @@ def compiled_cache() -> CompiledSpecCache:
 
 
 # --------------------------------------------------------------------- #
-# no internal RAID, fault tolerance 1-3 (Figures 8, 9, 10)
+# no internal RAID, any fault tolerance (Figures 8-10 + appendix)
 # --------------------------------------------------------------------- #
 
 
 @lru_cache(maxsize=None)
 def no_raid_spec(fault_tolerance: int) -> ModelSpec:
-    """Figure 8/9/10 as a spec; parameters ``n, d, lambda_N, lambda_d,
-    mu_N, mu_d`` plus one ``h_<word>`` per failure word of the tolerance.
+    """The no-internal-RAID chain for fault tolerance ``k`` as a spec;
+    parameters ``n, d, lambda_N, lambda_d, mu_N, mu_d`` plus one
+    ``h_<word>`` per failure word of length ``k``.
+
+    The appendix's doubling (the ``k`` chain is two copies of the
+    ``k - 1`` chain under a new root), emitted one level at a time from
+    the root (``j = 0``) down: Figures 8, 9 and 10 are its ``k = 1, 2,
+    3`` cases, with their state order and rate operand order.  States
+    are failure words: a prefix over {N, d} padded with ``"0"``s.
     """
-    if fault_tolerance not in (1, 2, 3):
-        raise ValueError(
-            "explicit chains exist for fault tolerance 1-3 only; use "
-            "recursive_spec for higher tolerance"
-        )
+    k = fault_tolerance
+    if k < 1:
+        raise ValueError("fault_tolerance must be >= 1")
     n, d = param("n"), param("d")
     lam_n, lam_d = param("lambda_N"), param("lambda_d")
-    mu_n, mu_d = param("mu_N"), param("mu_d")
+    mu = {"N": param("mu_N"), "d": param("mu_d")}
     b = SpecBuilder()
-
-    if fault_tolerance == 1:
-        h_n, h_d = param("h_N"), param("h_d")
-        b.add_states("0", "N", "d", LOSS)
-        b.add_rate("0", "N", n * lam_n * (1.0 - h_n))
-        b.add_rate("0", "d", n * d * lam_d * (1.0 - h_d))
-        b.add_rate("0", LOSS, n * (lam_n * h_n + d * lam_d * h_d))
-        b.add_rate("N", "0", mu_n)
-        b.add_rate("d", "0", mu_d)
-        second = (n - 1) * (lam_n + d * lam_d)
-        b.add_rate("N", LOSS, second)
-        b.add_rate("d", LOSS, second)
-        return b.build("no_raid_ft1", initial_state="0")
-
-    if fault_tolerance == 2:
-        b.add_states("00", "N0", "d0", "NN", "Nd", "dN", "dd", LOSS)
-        b.add_rate("00", "N0", n * lam_n)
-        b.add_rate("00", "d0", n * d * lam_d)
-        b.add_rate("N0", "00", mu_n)
-        b.add_rate("d0", "00", mu_d)
-        for first in ("N", "d"):
-            root = first + "0"
-            h_to_n = param("h_" + first + "N")
-            h_to_d = param("h_" + first + "d")
-            b.add_rate(root, first + "N", (n - 1) * lam_n * (1.0 - h_to_n))
-            b.add_rate(root, first + "d", (n - 1) * d * lam_d * (1.0 - h_to_d))
-            b.add_rate(root, LOSS, (n - 1) * (lam_n * h_to_n + d * lam_d * h_to_d))
-            b.add_rate(first + "N", root, mu_n)
-            b.add_rate(first + "d", root, mu_d)
-        third = (n - 2) * (lam_n + d * lam_d)
-        for leaf in ("NN", "Nd", "dN", "dd"):
-            b.add_rate(leaf, LOSS, third)
-        return b.build("no_raid_ft2", initial_state="00")
-
-    mu = {"N": mu_n, "d": mu_d}
-    b.add_state("000")
-    b.add_rate("000", "N00", n * lam_n)
-    b.add_rate("000", "d00", n * d * lam_d)
-    b.add_rate("N00", "000", mu_n)
-    b.add_rate("d00", "000", mu_d)
-    for first in "Nd":
-        for second_letter in "Nd":
-            state = first + second_letter + "0"
-            b.add_rate(
-                first + "00",
-                state,
-                (n - 1) * (lam_n if second_letter == "N" else d * lam_d),
-            )
-            b.add_rate(state, first + "00", mu[second_letter])
-    for prefix in ("NN", "Nd", "dN", "dd"):
-        root = prefix + "0"
-        h_to_n = param("h_" + prefix + "N")
-        h_to_d = param("h_" + prefix + "d")
-        b.add_rate(root, prefix + "N", (n - 2) * lam_n * (1.0 - h_to_n))
-        b.add_rate(root, prefix + "d", (n - 2) * d * lam_d * (1.0 - h_to_d))
-        b.add_rate(root, LOSS, (n - 2) * (lam_n * h_to_n + d * lam_d * h_to_d))
-        b.add_rate(prefix + "N", root, mu_n)
-        b.add_rate(prefix + "d", root, mu_d)
-    fourth = (n - 3) * (lam_n + d * lam_d)
-    for first in "Nd":
-        for second_letter in "Nd":
-            for third_letter in "Nd":
-                b.add_rate(first + second_letter + third_letter, LOSS, fourth)
-    return b.build("no_raid_ft3", initial_state="000")
+    prefixes = [""]
+    for j in range(k):
+        m = n - j if j else n
+        pad = "0" * (k - 1 - j)
+        for prefix in prefixes:
+            root = prefix + "0" + pad
+            if j == k - 1:
+                # Critical level: the next failure's rebuild may hit a
+                # hard error, split off by h.
+                h_n = param("h_" + prefix + "N")
+                h_d = param("h_" + prefix + "d")
+                b.add_rate(root, prefix + "N", m * lam_n * (1.0 - h_n))
+                b.add_rate(root, prefix + "d", m * d * lam_d * (1.0 - h_d))
+                b.add_rate(root, LOSS, m * (lam_n * h_n + d * lam_d * h_d))
+            else:
+                # Figure 10's operand order: (n d) lambda_d at the root,
+                # m (d lambda_d) below it.
+                drive = m * (d * lam_d) if j else n * d * lam_d
+                b.add_rate(root, prefix + "N" + pad, m * lam_n)
+                b.add_rate(root, prefix + "d" + pad, drive)
+            for letter in "Nd":
+                b.add_rate(prefix + letter + pad, root, mu[letter])
+        prefixes = [prefix + letter for prefix in prefixes for letter in "Nd"]
+    last = (n - k) * (lam_n + d * lam_d)
+    for leaf in prefixes:
+        b.add_rate(leaf, LOSS, last)
+    return b.build(f"no_raid_ft{k}", initial_state="0" * k)
 
 
 def no_raid_env(
@@ -188,98 +158,16 @@ def no_raid_env(
 ) -> Dict[str, Value]:
     """Binding environment for :func:`no_raid_spec`.
 
-    Mirrors the legacy builders' validation: the node set must exceed the
-    fault tolerance, every ``h``-word must be present, and each ``h`` is
-    checked non-negative and clamped to 1.  Values may be scalars or
-    per-point arrays.
+    The node set must exceed the fault tolerance, every ``h``-word must
+    be present (missing ones are named), and each ``h`` is checked
+    non-negative and clamped to 1.  Values may be scalars or per-point
+    arrays.
     """
+    if fault_tolerance < 1:
+        raise ValueError("fault_tolerance must be >= 1")
     _check_nodes(n, d, fault_tolerance)
-    _check_words(h, fault_tolerance)
-    env: Dict[str, Value] = {
-        "n": n,
-        "d": d,
-        "lambda_N": node_failure_rate,
-        "lambda_d": drive_failure_rate,
-        "mu_N": node_rebuild_rate,
-        "mu_d": drive_rebuild_rate,
-    }
-    for word in _words(fault_tolerance):
-        env["h_" + word] = _clamp_h(h[word])
-    return env
-
-
-# --------------------------------------------------------------------- #
-# no internal RAID, arbitrary fault tolerance (appendix recursion)
-# --------------------------------------------------------------------- #
-
-
-def _spec_level(
-    b: SpecBuilder,
-    prefix: str,
-    k: int,
-    remaining: int,
-    depth: int,
-) -> None:
-    """Transcription of ``recursive._build_level`` with symbolic rates.
-
-    ``depth`` replaces the legacy ``n_eff`` (= n - depth); everything
-    else — recursion order, h-splits, the accumulated duplicate loss
-    edge at the critical level — matches line for line.
-    """
-    n, d = param("n"), param("d")
-    lam_n, lam_d = param("lambda_N"), param("lambda_d")
-    root = prefix + "0" * remaining
-    n_eff = n - depth if depth else n
-    if remaining == 0:
-        b.add_rate(root, LOSS, (n - k) * (lam_n + d * lam_d))
-        return
-    mu = {"N": param("mu_N"), "d": param("mu_d")}
-    for letter, rate in (("N", lam_n), ("d", d * lam_d)):
-        child_prefix = prefix + letter
-        child = child_prefix + "0" * (remaining - 1)
-        if remaining == 1:
-            h_split = param("h_" + child_prefix)
-            b.add_rate(root, child, n_eff * rate * (1.0 - h_split))
-            b.add_rate(root, LOSS, n_eff * rate * h_split)
-        else:
-            b.add_rate(root, child, n_eff * rate)
-        b.add_rate(child, root, mu[letter])
-        _spec_level(b, child_prefix, k, remaining - 1, depth + 1)
-
-
-@lru_cache(maxsize=None)
-def recursive_spec(fault_tolerance: int) -> ModelSpec:
-    """The appendix's recursively-doubled chain for arbitrary ``k``."""
-    k = fault_tolerance
-    if k < 1:
-        raise ValueError("fault_tolerance must be >= 1")
-    b = SpecBuilder()
-    b.add_state("0" * k)
-    _spec_level(b, prefix="", k=k, remaining=k, depth=0)
-    return b.build(f"recursive_ft{k}", initial_state="0" * k)
-
-
-def recursive_env(
-    fault_tolerance: int,
-    n: Value,
-    d: Value,
-    node_failure_rate: Value,
-    drive_failure_rate: Value,
-    node_rebuild_rate: Value,
-    drive_rebuild_rate: Value,
-    h: Mapping[str, Value],
-) -> Dict[str, Value]:
-    """Binding environment for :func:`recursive_spec`.
-
-    The legacy recursion clamps each h-split into [0, 1] silently
-    (``min(max(h, 0), 1)``) rather than rejecting negatives — preserved
-    here exactly.
-    """
-    k = fault_tolerance
-    if k < 1:
-        raise ValueError("fault_tolerance must be >= 1")
-    _check_nodes(n, d, k)
-    missing = [w for w in _words(k) if w not in h]
+    words = _words(fault_tolerance)
+    missing = [w for w in words if w not in h]
     if missing:
         raise ValueError(f"missing h-parameters for words: {missing[:4]}...")
     env: Dict[str, Value] = {
@@ -290,12 +178,8 @@ def recursive_env(
         "mu_N": node_rebuild_rate,
         "mu_d": drive_rebuild_rate,
     }
-    for word in _words(k):
-        value = h[word]
-        if isinstance(value, np.ndarray):
-            env["h_" + word] = np.minimum(np.maximum(value, 0.0), 1.0)
-        else:
-            env["h_" + word] = min(max(value, 0.0), 1.0)
+    for word in words:
+        env["h_" + word] = _clamp_h(h[word])
     return env
 
 
@@ -491,7 +375,7 @@ def all_family_specs() -> Dict[str, ModelSpec]:
         raid5_spec(split_loss=True),
         raid6_spec(),
         raid6_spec(split_loss=True),
-        recursive_spec(4),
+        no_raid_spec(4),
     ]
     return {spec.name: spec for spec in specs}
 
@@ -516,9 +400,7 @@ def spec_for_key(config_key: str) -> ModelSpec:
 
     config = Configuration.from_key(config_key)
     if config.internal is InternalRaid.NONE:
-        if config.node_fault_tolerance <= 3:
-            return no_raid_spec(config.node_fault_tolerance)
-        return recursive_spec(config.node_fault_tolerance)
+        return no_raid_spec(config.node_fault_tolerance)
     return internal_raid_spec(config.node_fault_tolerance)
 
 
@@ -562,12 +444,6 @@ def _check_nodes(n: Value, d: Value, t: int) -> None:
         raise ValueError("need at least one drive per node")
 
 
-def _check_words(h: Mapping[str, Value], k: int) -> None:
-    expected = 2**k
-    if len(h) < expected:
-        raise ValueError(f"need all {expected} h-parameters for fault tolerance {k}")
-
-
 def _clamp_h(h: Value) -> Value:
     if isinstance(h, (int, float)):  # scalar fast path (np.float64 included)
         if h < 0:
@@ -580,8 +456,10 @@ def _clamp_h(h: Value) -> Value:
     return min(h, 1.0)
 
 
-def _words(k: int):
+@lru_cache(maxsize=None)
+def _words(k: int) -> Tuple[str, ...]:
+    """The length-``k`` failure words, N before d at every position."""
     words = [""]
     for _ in range(k):
         words = [w + letter for w in words for letter in "Nd"]
-    return words
+    return tuple(words)

@@ -324,7 +324,7 @@ _PRODUCTION_SPECS = [
     "raid5_split",
     "raid6",
     "raid6_split",
-    "recursive_ft4",
+    "no_raid_ft4",
 ]
 
 

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.models import (
+    NoRaidNodeModel,
     Parameters,
     RebuildModel,
-    RecursiveNoRaidModel,
     h_parameters,
     mttdl_no_raid_nft1,
     mttdl_no_raid_nft2,
@@ -35,7 +35,7 @@ class TestFigure12AgainstFigureA1:
             mu_d,
             h,
         )
-        via_a1 = RecursiveNoRaidModel(p, 1).mttdl_approx()
+        via_a1 = NoRaidNodeModel(p, 1).mttdl_approx()
         assert via_figure == pytest.approx(via_a1, rel=1e-12)
 
     def test_nft2(self, baseline):
@@ -51,7 +51,7 @@ class TestFigure12AgainstFigureA1:
             rebuild.drive_rebuild_rate(2),
             p.hard_error_per_drive_read,
         )
-        via_a1 = RecursiveNoRaidModel(p, 2).mttdl_approx()
+        via_a1 = NoRaidNodeModel(p, 2).mttdl_approx()
         assert via_figure == pytest.approx(via_a1, rel=1e-12)
 
     def test_nft3(self, baseline):
@@ -67,21 +67,21 @@ class TestFigure12AgainstFigureA1:
             rebuild.drive_rebuild_rate(3),
             p.hard_error_per_drive_read,
         )
-        via_a1 = RecursiveNoRaidModel(p, 3).mttdl_approx()
+        via_a1 = NoRaidNodeModel(p, 3).mttdl_approx()
         assert via_figure == pytest.approx(via_a1, rel=1e-12)
 
 
 class TestAgainstChains:
     @pytest.mark.parametrize("t", [1, 2, 3])
     def test_closed_forms_track_chain_in_gentle_regime(self, gentle_params, t):
-        model = RecursiveNoRaidModel(gentle_params, t)
+        model = NoRaidNodeModel(gentle_params, t)
         assert model.mttdl_approx() == pytest.approx(model.mttdl_exact(), rel=0.05)
 
     def test_nft1_h_saturation_documented_gap(self, baseline):
         """At the baseline h_N = d(R-1)C*HER > 1: the chain clamps the
         probability, the closed form does not — the formula must
         *underestimate* the chain there (conservative direction)."""
-        model = RecursiveNoRaidModel(baseline, 1)
+        model = NoRaidNodeModel(baseline, 1)
         assert model.mttdl_approx() < model.mttdl_exact()
 
 
@@ -123,5 +123,5 @@ def test_figure12_formulas_equal_a1_for_random_parameters(seed):
         rebuild.drive_rebuild_rate(2),
         params.hard_error_per_drive_read,
     )
-    via_a1 = RecursiveNoRaidModel(params, 2).mttdl_approx()
+    via_a1 = NoRaidNodeModel(params, 2).mttdl_approx()
     assert via_figure == pytest.approx(via_a1, rel=1e-9)

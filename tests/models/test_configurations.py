@@ -9,7 +9,6 @@ from repro.models import (
     InternalRaidNodeModel,
     NoRaidNodeModel,
     Parameters,
-    RecursiveNoRaidModel,
     all_configurations,
     evaluate,
     evaluate_all,
@@ -58,10 +57,16 @@ class TestModelDispatch:
     def test_no_raid_low_tolerance_uses_explicit(self, baseline):
         model = Configuration(InternalRaid.NONE, 2).model(baseline)
         assert isinstance(model, NoRaidNodeModel)
+        # Figure 9's seven transient states.
+        assert model.chain().num_states == 8
 
     def test_no_raid_high_tolerance_uses_recursive(self, baseline):
+        """One family at every tolerance: k = 4 is the appendix's doubling
+        of the k = 3 chain, 2^5 - 1 transient states."""
         model = Configuration(InternalRaid.NONE, 4).model(baseline)
-        assert isinstance(model, RecursiveNoRaidModel)
+        assert isinstance(model, NoRaidNodeModel)
+        assert model.spec().name == "no_raid_ft4"
+        assert model.chain().num_states == 2**5
 
     def test_internal_raid_dispatch(self, baseline):
         model = Configuration(InternalRaid.RAID6, 2).model(baseline)
@@ -83,7 +88,7 @@ class TestEvaluation:
     def test_approx_for_explicit_no_raid_uses_figure_a1(self, gentle_params):
         config = Configuration(InternalRaid.NONE, 2)
         approx = config.mttdl_hours(gentle_params, "approx")
-        via_a1 = RecursiveNoRaidModel(gentle_params, 2).mttdl_approx()
+        via_a1 = NoRaidNodeModel(gentle_params, 2).mttdl_approx()
         assert approx == pytest.approx(via_a1)
 
     def test_unknown_method(self, baseline):

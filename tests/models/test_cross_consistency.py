@@ -17,7 +17,6 @@ from repro.models import (
     InternalRaid,
     NoRaidNodeModel,
     Parameters,
-    RecursiveNoRaidModel,
     build_internal_raid_chain,
 )
 
@@ -71,7 +70,7 @@ def test_mttdl_monotone_in_fault_tolerance(seed):
     """More cross-node tolerance never hurts (at any random point)."""
     params = random_params(seed)
     values = [
-        RecursiveNoRaidModel(params, t).mttdl_exact() for t in (1, 2, 3)
+        NoRaidNodeModel(params, t).mttdl_exact() for t in (1, 2, 3)
     ]
     assert values[0] <= values[1] <= values[2]
 

@@ -8,25 +8,21 @@ from hypothesis import strategies as st
 from repro.models import (
     NoRaidNodeModel,
     Parameters,
-    RecursiveNoRaidModel,
-    build_no_raid_chain_ft1,
-    build_no_raid_chain_ft2,
-    build_no_raid_chain_ft3,
-    build_recursive_chain,
+    build_no_raid_chain,
     h_parameters,
     l_k,
     l_value,
     mttdl_general_approx,
 )
-
-ARGS = dict(
-    n=16,
-    d=4,
-    node_failure_rate=1e-6,
-    drive_failure_rate=2e-6,
-    node_rebuild_rate=0.3,
-    drive_rebuild_rate=3.0,
+from repro.models.no_raid import (
+    legacy_build_no_raid_chain_ft1,
+    legacy_build_no_raid_chain_ft2,
+    legacy_build_no_raid_chain_ft3,
 )
+from repro.models.recursive import legacy_build_recursive_chain
+
+RATES = (1e-6, 2e-6, 0.3, 3.0)
+FIGURES = {2: legacy_build_no_raid_chain_ft2, 3: legacy_build_no_raid_chain_ft3}
 
 
 def generator_as_dict(chain):
@@ -40,79 +36,49 @@ def generator_as_dict(chain):
     return out
 
 
-class TestMatchesExplicitFigures:
-    def test_k1_equals_figure8(self, baseline):
-        h = h_parameters(baseline, 1)
-        explicit = build_no_raid_chain_ft1(
-            baseline.node_set_size,
-            baseline.drives_per_node,
-            baseline.node_failure_rate,
-            baseline.drive_failure_rate,
-            0.3,
-            3.0,
-            h_n=h["N"],
-            h_d=h["d"],
-        )
-        recursive = build_recursive_chain(
-            1,
-            baseline.node_set_size,
-            baseline.drives_per_node,
-            baseline.node_failure_rate,
-            baseline.drive_failure_rate,
-            0.3,
-            3.0,
-            h,
-        )
-        left = generator_as_dict(explicit)
-        right = generator_as_dict(recursive)
-        assert set(left) == set(right)
-        for key in left:
-            assert left[key] == pytest.approx(right[key], rel=1e-12)
+def assert_same_rates(left_chain, right_chain):
+    left = generator_as_dict(left_chain)
+    right = generator_as_dict(right_chain)
+    assert set(left) == set(right)
+    for key in left:
+        assert left[key] == pytest.approx(right[key], rel=1e-12)
 
-    @pytest.mark.parametrize("k,builder", [(2, build_no_raid_chain_ft2), (3, build_no_raid_chain_ft3)])
-    def test_k23_equal_figures(self, baseline, k, builder):
+
+class TestMatchesExplicitFigures:
+    """The appendix-literal recursion reproduces the hand-drawn Figures
+    8-10 (both oracles of the one no-RAID family)."""
+
+    def test_k1_equals_figure8(self, baseline):
+        n, d = baseline.node_set_size, baseline.drives_per_node
+        h = h_parameters(baseline, 1)
+        figure = legacy_build_no_raid_chain_ft1(n, d, *RATES, h["N"], h["d"])
+        recursive = legacy_build_recursive_chain(1, n, d, *RATES, h)
+        assert_same_rates(figure, recursive)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_k23_equal_figures(self, baseline, k):
+        n, d = baseline.node_set_size, baseline.drives_per_node
         h = h_parameters(baseline, k)
-        explicit = builder(
-            baseline.node_set_size,
-            baseline.drives_per_node,
-            baseline.node_failure_rate,
-            baseline.drive_failure_rate,
-            0.3,
-            3.0,
-            h=h,
-        )
-        recursive = build_recursive_chain(
-            k,
-            baseline.node_set_size,
-            baseline.drives_per_node,
-            baseline.node_failure_rate,
-            baseline.drive_failure_rate,
-            0.3,
-            3.0,
-            h,
-        )
-        left = generator_as_dict(explicit)
-        right = generator_as_dict(recursive)
-        assert set(left) == set(right)
-        for key in left:
-            assert left[key] == pytest.approx(right[key], rel=1e-12)
+        figure = FIGURES[k](n, d, *RATES, h)
+        recursive = legacy_build_recursive_chain(k, n, d, *RATES, h)
+        assert_same_rates(figure, recursive)
 
 
 class TestStructure:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_state_count_is_2k1_minus_1(self, k):
         h = {w: 0.0 for w in h_parameters(Parameters.baseline().replace(node_set_size=32), k)}
-        chain = build_recursive_chain(k, 32, 4, 1e-6, 2e-6, 0.3, 3.0, h)
+        chain = build_no_raid_chain(k, 32, 4, 1e-6, 2e-6, 0.3, 3.0, h)
         assert chain.num_states == 2 ** (k + 1)  # transient + loss
 
     def test_missing_h_rejected(self):
         with pytest.raises(ValueError, match="missing h-parameters"):
-            build_recursive_chain(2, 16, 4, 1e-6, 2e-6, 0.3, 3.0, {"NN": 0.0})
+            build_no_raid_chain(2, 16, 4, 1e-6, 2e-6, 0.3, 3.0, {"NN": 0.0})
 
     def test_node_set_too_small(self):
         h = {w: 0.0 for w in ("NN", "Nd", "dN", "dd")}
         with pytest.raises(ValueError):
-            build_recursive_chain(2, 2, 4, 1e-6, 2e-6, 0.3, 3.0, h)
+            build_no_raid_chain(2, 2, 4, 1e-6, 2e-6, 0.3, 3.0, h)
 
 
 class TestLRecursion:
@@ -150,23 +116,34 @@ class TestLRecursion:
 class TestFigureA1:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_approx_tracks_exact_in_valid_regime(self, gentle_params, k):
-        model = RecursiveNoRaidModel(gentle_params, k)
+        model = NoRaidNodeModel(gentle_params, k)
         exact = model.mttdl_exact()
         approx = model.mttdl_approx()
         assert approx == pytest.approx(exact, rel=0.05)
 
     def test_explicit_models_match_recursive_solve(self, baseline):
-        for t in (1, 2, 3):
-            explicit = NoRaidNodeModel(baseline, t).mttdl_exact()
-            recursive = RecursiveNoRaidModel(baseline, t).mttdl_exact()
-            assert recursive == pytest.approx(explicit, rel=1e-9)
+        """The level-by-level family solves like the appendix-literal
+        recursion, Figures 8-10 and beyond."""
+        for t in (1, 2, 3, 4):
+            model = NoRaidNodeModel(baseline, t)
+            recursive = legacy_build_recursive_chain(
+                t,
+                baseline.node_set_size,
+                baseline.drives_per_node,
+                baseline.node_failure_rate,
+                baseline.drive_failure_rate,
+                model.node_rebuild_rate,
+                model.drive_rebuild_rate,
+                model.hard_error_parameters(),
+            ).mean_time_to_absorption()
+            assert recursive == pytest.approx(model.mttdl_exact(), rel=1e-9)
 
     def test_stiff_chain_solves_cleanly(self):
         """The GTH path keeps k = 6 (127 states, cond ~ 1e17) accurate."""
         params = Parameters.baseline().replace(
             node_set_size=128, redundancy_set_size=16
         )
-        model = RecursiveNoRaidModel(params, 6)
+        model = NoRaidNodeModel(params, 6)
         exact = model.mttdl_exact()
         approx = model.mttdl_approx()
         assert exact > 0
@@ -174,9 +151,9 @@ class TestFigureA1:
 
     def test_invalid_inputs(self, baseline):
         with pytest.raises(ValueError):
-            RecursiveNoRaidModel(baseline, 0)
+            NoRaidNodeModel(baseline, 0)
         with pytest.raises(ValueError):
-            RecursiveNoRaidModel(baseline.replace(node_set_size=3, redundancy_set_size=3), 3)
+            NoRaidNodeModel(baseline.replace(node_set_size=3, redundancy_set_size=3), 3)
         with pytest.raises(ValueError):
             mttdl_general_approx(0, 16, 4, 1e-6, 2e-6, 0.3, 3.0, {})
 
@@ -202,7 +179,7 @@ def test_approx_agrees_with_exact_property(k, n, d, seed):
     for _ in range(k):
         words = [w + c for w in words for c in "Nd"]
     h = {w: float(10.0 ** rng.uniform(-8, -4)) for w in words}
-    chain = build_recursive_chain(k, n, d, lam_n, lam_d, mu_n, mu_d, h)
+    chain = build_no_raid_chain(k, n, d, lam_n, lam_d, mu_n, mu_d, h)
     exact = chain.mean_time_to_absorption()
     approx = mttdl_general_approx(k, n, d, lam_n, lam_d, mu_n, mu_d, h)
     assert approx == pytest.approx(exact, rel=0.05)

@@ -1,4 +1,4 @@
-"""Property tests: the spec path is bitwise-identical to the legacy builders.
+"""Property tests: the spec path reproduces the legacy builders.
 
 Every one of the nine configuration families is expressed twice — once as
 a declarative :class:`~repro.core.spec.ModelSpec` and once as the original
@@ -7,6 +7,14 @@ agree *bitwise* — same state order, same initial state, byte-for-byte
 equal generator matrices and therefore identical MTTDLs — both on
 hypothesis-randomized raw rate inputs (including the clamping regimes
 ``h > 1`` and ``h = 0``) and across the 27-point verification lattice.
+
+The one no-internal-RAID family builds every fault tolerance level by
+level.  At k = 2 it registers ``"loss"`` after ``"Nd"`` where Figure 9's
+builder registers it last, so there the chains are compared with states
+aligned by label: the same transient order, bitwise off-diagonal rates
+and a bitwise MTTDL (the exit-rate diagonal sums the same rates in
+another order).  Beyond k = 3 it is compared with the appendix-literal
+recursion within a few ulp per rate.
 """
 
 import numpy as np
@@ -20,9 +28,7 @@ from repro.models.internal_raid import (
     legacy_build_internal_raid_chain,
 )
 from repro.models.no_raid import (
-    build_no_raid_chain_ft1,
-    build_no_raid_chain_ft2,
-    build_no_raid_chain_ft3,
+    build_no_raid_chain,
     legacy_build_no_raid_chain_ft1,
     legacy_build_no_raid_chain_ft2,
     legacy_build_no_raid_chain_ft3,
@@ -33,10 +39,7 @@ from repro.models.raid import (
     legacy_build_raid5_chain,
     legacy_build_raid6_chain,
 )
-from repro.models.recursive import (
-    build_recursive_chain,
-    legacy_build_recursive_chain,
-)
+from repro.models.recursive import legacy_build_recursive_chain
 from repro.verify.lattice import default_lattice
 
 
@@ -49,6 +52,42 @@ def assert_bitwise_equal(spec_chain, legacy_chain):
     assert (
         spec_chain.mean_time_to_absorption()
         == legacy_chain.mean_time_to_absorption()
+    )
+
+
+def _aligned(spec_chain, legacy_chain):
+    """Both generators with the legacy states permuted into the spec's
+    order, and the off-diagonal mask."""
+    assert set(spec_chain.states) == set(legacy_chain.states)
+    order = [legacy_chain.states.index(s) for s in spec_chain.states]
+    legacy = legacy_chain.generator_matrix()[np.ix_(order, order)]
+    off = ~np.eye(len(order), dtype=bool)
+    return spec_chain.generator_matrix(), legacy, off
+
+
+def assert_equal_by_label(spec_chain, legacy_chain):
+    """Same transient order and initial state, bitwise off-diagonal rates
+    and MTTDL; the exit-rate diagonal may differ by summation order."""
+    assert spec_chain.transient_states() == legacy_chain.transient_states()
+    assert spec_chain.initial_state == legacy_chain.initial_state
+    spec, legacy, off = _aligned(spec_chain, legacy_chain)
+    assert np.array_equal(spec[off], legacy[off]), "off-diagonal rates differ"
+    assert (
+        spec_chain.mean_time_to_absorption()
+        == legacy_chain.mean_time_to_absorption()
+    )
+
+
+def assert_within_ulp(spec_chain, legacy_chain, ulp=4, mttdl_rel=2e-15):
+    """Same states and edges, each rate within ``ulp`` units in the last
+    place, MTTDL within ``mttdl_rel`` relative."""
+    spec, legacy, off = _aligned(spec_chain, legacy_chain)
+    assert np.array_equal(spec[off] != 0, legacy[off] != 0), "edge sets differ"
+    scale = np.spacing(np.maximum(np.abs(spec[off]), np.abs(legacy[off])))
+    assert np.all(np.abs(spec[off] - legacy[off]) <= ulp * scale)
+    exact = legacy_chain.mean_time_to_absorption()
+    assert spec_chain.mean_time_to_absorption() == pytest.approx(
+        exact, rel=mttdl_rel, abs=0.0
     )
 
 
@@ -84,7 +123,9 @@ class TestNoRaidFamilies:
         h_d=h_prob,
     )
     def test_ft1(self, n, d, lam_n, lam_d, mu_n, mu_d, h_n, h_d):
-        spec = build_no_raid_chain_ft1(n, d, lam_n, lam_d, mu_n, mu_d, h_n, h_d)
+        spec = build_no_raid_chain(
+            1, n, d, lam_n, lam_d, mu_n, mu_d, {"N": h_n, "d": h_d}
+        )
         legacy = legacy_build_no_raid_chain_ft1(
             n, d, lam_n, lam_d, mu_n, mu_d, h_n, h_d
         )
@@ -102,11 +143,11 @@ class TestNoRaidFamilies:
     )
     def test_ft2(self, n, d, lam_n, lam_d, mu_n, mu_d, hs):
         h = _h_words(2, hs)
-        spec = build_no_raid_chain_ft2(n, d, lam_n, lam_d, mu_n, mu_d, h)
+        spec = build_no_raid_chain(2, n, d, lam_n, lam_d, mu_n, mu_d, h)
         legacy = legacy_build_no_raid_chain_ft2(
             n, d, lam_n, lam_d, mu_n, mu_d, h
         )
-        assert_bitwise_equal(spec, legacy)
+        assert_equal_by_label(spec, legacy)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -120,7 +161,7 @@ class TestNoRaidFamilies:
     )
     def test_ft3(self, n, d, lam_n, lam_d, mu_n, mu_d, hs):
         h = _h_words(3, hs)
-        spec = build_no_raid_chain_ft3(n, d, lam_n, lam_d, mu_n, mu_d, h)
+        spec = build_no_raid_chain(3, n, d, lam_n, lam_d, mu_n, mu_d, h)
         legacy = legacy_build_no_raid_chain_ft3(
             n, d, lam_n, lam_d, mu_n, mu_d, h
         )
@@ -130,7 +171,7 @@ class TestNoRaidFamilies:
 class TestRecursiveFamily:
     @settings(max_examples=20, deadline=None)
     @given(
-        k=st.integers(min_value=1, max_value=5),
+        k=st.integers(min_value=1, max_value=6),
         extra_n=st.integers(min_value=1, max_value=64),
         d=st.integers(min_value=1, max_value=24),
         lam_n=rate,
@@ -143,11 +184,11 @@ class TestRecursiveFamily:
         n = k + extra_n
         rng = np.random.default_rng(seed)
         h = _h_words(k, [float(v) for v in rng.uniform(0.0, 1.5, 2**k)])
-        spec = build_recursive_chain(k, n, d, lam_n, lam_d, mu_n, mu_d, h)
+        spec = build_no_raid_chain(k, n, d, lam_n, lam_d, mu_n, mu_d, h)
         legacy = legacy_build_recursive_chain(
             k, n, d, lam_n, lam_d, mu_n, mu_d, h
         )
-        assert_bitwise_equal(spec, legacy)
+        assert_within_ulp(spec, legacy)
 
 
 class TestInternalRaidFamily:
@@ -207,8 +248,9 @@ class TestDriveLevelRaidFamilies:
 
 class TestModelPathOnLattice:
     """All nine paper configurations, at every point of the 27-point
-    verification lattice: model.chain() (the compiled-spec path) must be
-    bitwise identical to model.legacy_chain() (the imperative oracle)."""
+    verification lattice: model.chain() (the compiled-spec path) must
+    match model.legacy_chain() (the imperative oracle) by label, and
+    bitwise wherever the state orders agree."""
 
     @pytest.mark.parametrize(
         "config", ALL_CONFIGURATIONS, ids=lambda c: c.key
@@ -216,4 +258,8 @@ class TestModelPathOnLattice:
     def test_all_configs_all_points(self, config):
         for params in default_lattice():
             model = config.model(params)
-            assert_bitwise_equal(model.chain(), model.legacy_chain())
+            spec, legacy = model.chain(), model.legacy_chain()
+            if spec.states == legacy.states:
+                assert_bitwise_equal(spec, legacy)
+            else:
+                assert_equal_by_label(spec, legacy)

@@ -17,7 +17,7 @@ from repro.cluster import BrickStore, Cluster, DataLossError, StripeStore
 from repro.core import sample_absorption_times
 from repro.models import (
     HOURS_PER_YEAR,
-    RecursiveNoRaidModel,
+    NoRaidNodeModel,
     mission_survival_probability,
 )
 from repro.sim import accelerated_parameters, estimate_mttdl
@@ -61,7 +61,7 @@ class TestChainVsSampling:
         acc = accelerated_parameters(
             baseline.replace(node_set_size=12), failure_scale=300.0
         )
-        model = RecursiveNoRaidModel(acc, 2)
+        model = NoRaidNodeModel(acc, 2)
         chain = model.chain()
         analytic = chain.mean_time_to_absorption()
         summary = sample_absorption_times(chain, n=400, seed=9)
