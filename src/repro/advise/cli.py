@@ -217,7 +217,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--method",
         default="analytic",
-        choices=("analytic", "closed_form", "exact", "approx"),
+        choices=("analytic", "closed_form"),
         help="evaluation method",
     )
     parser.add_argument(

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional
 
-from ..engine.solver import normalize_method
 from ..models.metrics import PAPER_TARGET_EVENTS_PER_PB_YEAR
 from ..models.parameters import is_finite
 from ..models.space import ParamAxis, SearchSpace
@@ -92,10 +91,7 @@ class AdviseRequest:
             object.__setattr__(self, name, float(bound))
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise AdviseError(f"seed must be an integer, got {self.seed!r}")
-        try:
-            method = normalize_method(str(self.method).lower())
-        except ValueError:
-            method = None
+        method = str(self.method).lower()
         if method not in ("analytic", "closed_form"):
             raise AdviseError(
                 f"method must be 'analytic' or 'closed_form', "

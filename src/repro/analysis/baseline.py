@@ -74,7 +74,7 @@ class BaselineReport:
 
 
 def run_baseline(
-    params: Optional[Parameters] = None, method: str = "exact"
+    params: Optional[Parameters] = None, method: str = "analytic"
 ) -> BaselineReport:
     """Evaluate all nine configurations (Figure 13)."""
     if params is None:

@@ -88,7 +88,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     add_observability_arguments(parser)
     args = parser.parse_args(argv)
 
-    method = "approx" if args.approx else "exact"
+    method = "closed_form" if args.approx else "analytic"
     wanted = list(args.figures) + list(args.fig)
     if not wanted:
         wanted = [13] + sorted(FIGURES)

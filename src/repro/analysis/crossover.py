@@ -64,7 +64,7 @@ def find_crossover(
     low: float,
     high: float,
     target: float = PAPER_TARGET_EVENTS_PER_PB_YEAR,
-    method: str = "exact",
+    method: str = "analytic",
     tolerance: float = 1e-3,
     log_scale: bool = True,
 ) -> Crossover:
@@ -79,7 +79,7 @@ def find_crossover(
         transform: (params, x) -> params with the knob set to x.
         low, high: search range (low < high).
         target: events/PB-year threshold.
-        method: ``"exact"`` or ``"approx"``.
+        method: ``"analytic"`` or ``"closed_form"``.
         tolerance: relative width at which bisection stops.
         log_scale: bisect in log-space (natural for rates and sizes).
 
@@ -119,7 +119,7 @@ def headroom_orders(
     config: Configuration,
     params: Parameters,
     target: float = PAPER_TARGET_EVENTS_PER_PB_YEAR,
-    method: str = "exact",
+    method: str = "analytic",
 ) -> float:
     """Orders of magnitude between a configuration's loss rate and the
     target (positive = headroom, negative = shortfall)."""

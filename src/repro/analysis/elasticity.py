@@ -54,7 +54,7 @@ def elasticity(
     params: Parameters,
     field: str,
     step: float = 0.05,
-    method: str = "exact",
+    method: str = "analytic",
 ) -> Elasticity:
     """Central log-log finite difference of events/PB-year w.r.t. ``field``.
 
@@ -84,7 +84,7 @@ def elasticity_profile(
     config: Configuration,
     params: Parameters,
     fields: Sequence[str] = NUMERIC_FIELDS,
-    method: str = "exact",
+    method: str = "analytic",
 ) -> List[Elasticity]:
     """Elasticities for several fields, sorted by descending magnitude."""
     results = [elasticity(config, params, f, method=method) for f in fields]

@@ -138,7 +138,7 @@ FIGURES: Dict[int, SensitivityFigure] = {
 def sensitivity_figures(
     figures: Iterable[SensitivityFigure],
     params: Optional[Parameters] = None,
-    method: str = "exact",
+    method: str = "analytic",
     engine: Optional["SweepEngine"] = None,
 ) -> List[SweepResult]:
     """Evaluate sensitivity figures, in the order given.
@@ -200,7 +200,7 @@ def _figure(number, params, x_values, method, engine) -> SweepResult:
 def figure14_drive_mttf(
     params: Optional[Parameters] = None,
     x_values: Sequence[float] = FIGURES[14].x_values,
-    method: str = "exact",
+    method: str = "analytic",
     engine: Optional["SweepEngine"] = None,
 ) -> SweepResult:
     """Figure 14: drive MTTF, at node MTTF low (100k h) and high (1M h)."""
@@ -210,7 +210,7 @@ def figure14_drive_mttf(
 def figure15_node_mttf(
     params: Optional[Parameters] = None,
     x_values: Sequence[float] = FIGURES[15].x_values,
-    method: str = "exact",
+    method: str = "analytic",
     engine: Optional["SweepEngine"] = None,
 ) -> SweepResult:
     """Figure 15: node MTTF, at drive MTTF low (100k h) and high (750k h)."""
@@ -220,7 +220,7 @@ def figure15_node_mttf(
 def figure16_rebuild_block_size(
     params: Optional[Parameters] = None,
     x_values: Sequence[float] = FIGURES[16].x_values,
-    method: str = "exact",
+    method: str = "analytic",
     engine: Optional["SweepEngine"] = None,
 ) -> SweepResult:
     """Figure 16: rebuild block size (KB), at low MTTFs (the paper's "does
@@ -231,7 +231,7 @@ def figure16_rebuild_block_size(
 def figure17_link_speed(
     params: Optional[Parameters] = None,
     x_values: Sequence[float] = FIGURES[17].x_values,
-    method: str = "exact",
+    method: str = "analytic",
     engine: Optional["SweepEngine"] = None,
 ) -> SweepResult:
     """Figure 17: link speed (Gb/s); 5 and 10 Gb/s coincide (disk-bound)."""
@@ -241,7 +241,7 @@ def figure17_link_speed(
 def figure18_node_set_size(
     params: Optional[Parameters] = None,
     x_values: Sequence[int] = FIGURES[18].x_values,
-    method: str = "exact",
+    method: str = "analytic",
     engine: Optional["SweepEngine"] = None,
 ) -> SweepResult:
     """Figure 18: sensitivity to node set size N."""
@@ -251,7 +251,7 @@ def figure18_node_set_size(
 def figure19_redundancy_set_size(
     params: Optional[Parameters] = None,
     x_values: Sequence[int] = FIGURES[19].x_values,
-    method: str = "exact",
+    method: str = "analytic",
     engine: Optional["SweepEngine"] = None,
 ) -> SweepResult:
     """Figure 19: redundancy set size R (about an order of magnitude)."""
@@ -261,7 +261,7 @@ def figure19_redundancy_set_size(
 def figure20_drives_per_node(
     params: Optional[Parameters] = None,
     x_values: Sequence[int] = FIGURES[20].x_values,
-    method: str = "exact",
+    method: str = "analytic",
     engine: Optional["SweepEngine"] = None,
 ) -> SweepResult:
     """Figure 20: drives per node d (nearly flat: the per-PB cancellation)."""
@@ -270,7 +270,7 @@ def figure20_drives_per_node(
 
 def all_figures(
     params: Optional[Parameters] = None,
-    method: str = "exact",
+    method: str = "analytic",
     engine: Optional["SweepEngine"] = None,
 ) -> List[SweepResult]:
     """Every sensitivity figure, in paper order (one engine batch)."""

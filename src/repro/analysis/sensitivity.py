@@ -57,7 +57,7 @@ def sweep(
     base_params: Parameters,
     x_values: Sequence[Any],
     transform: ParamsTransform,
-    method: str = "exact",
+    method: str = "analytic",
     engine: Optional["SweepEngine"] = None,
 ) -> List[SweepPoint]:
     """Evaluate configurations over a one-dimensional parameter sweep.
@@ -67,7 +67,7 @@ def sweep(
         base_params: the baseline every point starts from.
         x_values: swept values (passed to ``transform``).
         transform: maps (baseline, x) to the point's parameters.
-        method: ``"exact"`` or ``"approx"`` MTTDL computation.
+        method: ``"analytic"`` or ``"closed_form"`` MTTDL computation.
         engine: optional :class:`~repro.engine.SweepEngine`; when given,
             all points are evaluated through it (compiled specs
             re-bound per point, optionally disk-cached) with
@@ -167,7 +167,7 @@ def tornado(
     configs: Sequence[Configuration],
     base_params: Parameters,
     parameter_ranges: Dict[str, Tuple[Sequence[Any], ParamsTransform]],
-    method: str = "exact",
+    method: str = "analytic",
 ) -> List[TornadoEntry]:
     """Rank parameters by reliability leverage.
 

@@ -134,7 +134,7 @@ class UncertaintyStudy:
         config: Configuration,
         samples: int = 64,
         seed: int = 0,
-        method: str = "exact",
+        method: str = "analytic",
     ) -> UncertaintyResult:
         """Propagate to events/PB-year for one configuration."""
         rates = []
@@ -147,7 +147,7 @@ class UncertaintyStudy:
         configs: Sequence[Configuration],
         samples: int = 64,
         seed: int = 0,
-        method: str = "exact",
+        method: str = "analytic",
     ) -> List[UncertaintyResult]:
         """Propagate for several configurations over the *same* draws
         (common random numbers make the comparison fair)."""

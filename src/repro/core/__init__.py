@@ -14,7 +14,6 @@ machinery and are deliberately not re-exported here — backends are the
 only supported way to reach them.
 """
 
-from .builder import ChainBuilder
 from .ctmc import (
     AbsorptionResult,
     CTMC,
@@ -64,7 +63,6 @@ __all__ = [
     "BACKENDS",
     "CTMC",
     "CTMCError",
-    "ChainBuilder",
     "CompiledChain",
     "CompiledSpecCache",
     "CsrMatrix",

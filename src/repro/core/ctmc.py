@@ -72,8 +72,7 @@ class Transition:
         source: state the transition leaves.
         target: state the transition enters.
         rate: exponential rate in 1/time units; must be strictly positive
-            (a zero rate is not a transition — drop it at build time, as
-            :meth:`repro.core.builder.ChainBuilder.add_rate` does).
+            (a zero rate is not a transition — drop it at build time).
     """
 
     source: State
@@ -149,8 +148,9 @@ class CTMC:
     """A finite continuous-time Markov chain.
 
     States may be arbitrary hashable labels.  The chain is immutable once
-    constructed; use :class:`repro.core.builder.ChainBuilder` for incremental
-    construction.  A chain bound from a compiled spec carries its rate
+    constructed; declare chain families as specs
+    (:class:`repro.core.spec.SpecBuilder`) for incremental construction.
+    A chain bound from a compiled spec carries its rate
     vector instead and assembles the generator on first use.
 
     Args:

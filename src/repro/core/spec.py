@@ -22,12 +22,12 @@ IEEE-754 double operations (and operation *order*) their construction
 spells out, scalar and vectorized evaluation use the same elementwise
 operations, and assembly assigns each edge's rate once into a zero
 matrix before deriving the diagonal as ``-row_sum`` — float for float
-what :class:`~repro.core.builder.ChainBuilder` + :class:`CTMC` produce.
+what :class:`CTMC` assembles from the same transitions.
 Because the edge set is fixed at compile time, a rate that evaluates to
 zero simply writes an explicit ``0.0`` (the matrix is unchanged); the
 topology can never silently drift with the operating point.
 
-Unlike the builder, a spec is also *hashable*: :attr:`ModelSpec.spec_hash`
+A spec is also *hashable*: :attr:`ModelSpec.spec_hash`
 digests the canonical structure (states, edges, expression trees), so
 caches can key compiled chains by content instead of by caller-invented
 memo keys.
@@ -255,9 +255,8 @@ class ModelSpec:
     Attributes:
         name: family identifier (``"no_raid_ft2"``, ``"internal_raid_t3"``).
         states: every state, in the order that fixes the generator's
-            row/column layout (and therefore the GTH elimination order —
-            specs transcribed from the legacy builders must register
-            states in the same order to stay bitwise-identical).
+            row/column layout (and therefore the GTH elimination order,
+            which the frozen oracle chains in ``tests/data`` pin bitwise).
         edges: ``(source, target, rate_expr)`` triples; one entry per
             directed edge (parallel rates must be pre-summed, which
             :class:`SpecBuilder` does in insertion order).
@@ -351,14 +350,12 @@ class ModelSpec:
 
 
 class SpecBuilder:
-    """Incremental :class:`ModelSpec` construction, mirroring
-    :class:`~repro.core.builder.ChainBuilder`.
+    """Incremental :class:`ModelSpec` construction.
 
     States register in insertion order (``add_rate`` registers its
-    endpoints, exactly like the chain builder, so a spec transcribed
-    line-for-line from a legacy builder function reproduces its state
-    order); rates added between the same pair of states accumulate into
-    a left-nested sum, matching the builder's ``get() + rate`` order.
+    endpoints), which fixes the generator layout; rates added between
+    the same pair of states accumulate into a left-nested sum, in
+    insertion order.
     """
 
     def __init__(self) -> None:
@@ -679,7 +676,8 @@ class CompiledChain:
     def generator(self, rates: np.ndarray) -> np.ndarray:
         """The (read-only) generator ``Q`` for one rate vector: each rate
         assigned once into a zero matrix, the diagonal the negated row
-        sum — float for float what ``ChainBuilder`` + ``CTMC`` build."""
+        sum — float for float what ``CTMC`` assembles from the same
+        transitions."""
         q = np.zeros((self._n, self._n), dtype=float)
         q[self._src_idx, self._dst_idx] = rates
         np.fill_diagonal(q, -q.sum(axis=1))

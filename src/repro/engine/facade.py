@@ -26,10 +26,8 @@ from ..core.solvers import (
 )
 from ..core.solvers import solve as _core_solve
 from ..models.configurations import Configuration
-from ..models.internal_raid import InternalRaidNodeModel
 from ..models.metrics import ReliabilityResult
 from ..models.parameters import Parameters
-from ..models.raid import InternalRaid
 from ..models.rebuild import RebuildModel
 
 __all__ = ["evaluate"]
@@ -104,7 +102,7 @@ def evaluate(
         if family == "closed_form":
             request = SolveRequest(
                 closed_form=lambda: (
-                    config.mttdl_hours(params, "approx", rebuild=rebuild),
+                    config.model(params, rebuild).mttdl_approx(),
                 ),
                 query="mttdl",
                 options=options,
@@ -112,16 +110,7 @@ def evaluate(
             return ReliabilityResult.from_mttdl(
                 _core_solve(request).values[0], params
             )
-        if config.internal is InternalRaid.NONE:
-            model = config.model(params, rebuild)
-        else:
-            model = InternalRaidNodeModel(
-                params,
-                config.internal,
-                config.node_fault_tolerance,
-                rebuild,
-                rates_method=options.rates_method,
-            )
+        model = config.model(params, rebuild, rates_method=options.rates_method)
         result = _core_solve(
             SolveRequest(
                 chains=(model.chain(),), query="mttdl", options=options

@@ -63,7 +63,6 @@ from ..core.solvers import (
 from ..core.solvers import solve as _core_solve
 from ..core.spec import CompiledChain, ModelSpec
 from ..models.configurations import Configuration, NodeModel
-from ..models.internal_raid import InternalRaidNodeModel
 from ..models.parameters import ParameterColumns, Parameters
 from ..models.raid import ArrayRates, InternalRaid, array_model
 from ..models.rebuild import RebuildModel
@@ -83,26 +82,18 @@ __all__ = [
 #: A binding environment: a scalar or a per-point column per parameter.
 Env = Dict[str, Any]
 
-#: Public method names of the unified API mapped to their canonical form;
-#: the pre-engine "exact"/"approx" spellings are accepted as aliases.
-_METHOD_ALIASES = {
-    "analytic": "analytic",
-    "exact": "analytic",
-    "closed_form": "closed_form",
-    "approx": "closed_form",
-    "monte_carlo": "monte_carlo",
-}
+#: The method names of the unified API.
+_METHODS = ("analytic", "closed_form", "monte_carlo")
 
 
 def normalize_method(method: str) -> str:
-    """Canonical method name; raises ValueError for unknown spellings."""
-    try:
-        return _METHOD_ALIASES[method]
-    except KeyError:
+    """``method`` itself if it names a method; raises ValueError otherwise."""
+    if method not in _METHODS:
         raise ValueError(
             f"unknown method {method!r}; use 'analytic', 'closed_form' or "
-            "'monte_carlo' ('exact'/'approx' accepted as aliases)"
-        ) from None
+            "'monte_carlo'"
+        )
+    return method
 
 
 class SolveContext:
@@ -239,12 +230,8 @@ def _node_model(
     memo."""
     if config.internal is InternalRaid.NONE:
         return config.model(source)
-    return InternalRaidNodeModel(
-        source,
-        config.internal,
-        config.node_fault_tolerance,
-        array_rates=_array_rates(config.internal, source, members, ctx, rates_method),
-    )
+    rates = _array_rates(config.internal, source, members, ctx, rates_method)
+    return config.model(source, array_rates=rates)
 
 
 class PreparedGroup(NamedTuple):

@@ -51,8 +51,7 @@ class SweepEngine:
             batch solves faster than a disk-cache read); the on-disk
             :class:`~repro.engine.DiskCache` serves Monte-Carlo
             estimates only (``repro-validate``).
-        method: default evaluation method ("analytic" or "closed_form";
-            "exact"/"approx" accepted as aliases).
+        method: default evaluation method ("analytic" or "closed_form").
         options: default :class:`~repro.core.solvers.SolveOptions` for
             every evaluation — solver backend, array-rates derivation
             and iterative tolerances.

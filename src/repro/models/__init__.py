@@ -5,10 +5,8 @@ configurations, the drive-level and node-level Markov chains, the
 rebuild-time model, the critical-redundancy-set combinatorics and the
 closed-form MTTDL approximations.
 
-The supported public surface is exactly ``__all__`` below.  The
-pre-spec imperative chain builders (``legacy_build_*`` in their family
-modules) are equivalence oracles and are deliberately not re-exported
-here.
+The supported public surface is exactly ``__all__`` below.  Every
+chain is declared once, as a spec in :mod:`repro.models.specs`.
 """
 
 from .availability import (
@@ -31,7 +29,6 @@ from .configurations import (
     ALL_CONFIGURATIONS,
     Configuration,
     all_configurations,
-    evaluate,
     evaluate_all,
     sensitivity_configurations,
 )
@@ -128,7 +125,6 @@ __all__ = [
     "build_raid5_chain",
     "build_raid6_chain",
     "critical_fraction",
-    "evaluate",
     "evaluate_all",
     "events_per_pb_year",
     "events_per_year_to_mttdl_hours",

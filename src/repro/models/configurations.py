@@ -19,7 +19,7 @@ from .internal_raid import InternalRaidNodeModel
 from .metrics import ReliabilityResult
 from .no_raid import NoRaidNodeModel
 from .parameters import Parameters
-from .raid import InternalRaid
+from .raid import ArrayRates, InternalRaid
 from .rebuild import RebuildModel
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "ALL_CONFIGURATIONS",
     "all_configurations",
     "sensitivity_configurations",
-    "evaluate",
     "evaluate_all",
 ]
 
@@ -94,13 +93,29 @@ class Configuration:
     # ------------------------------------------------------------------ #
 
     def model(
-        self, params: Parameters, rebuild: Optional[RebuildModel] = None
+        self,
+        params: Parameters,
+        rebuild: Optional[RebuildModel] = None,
+        *,
+        rates_method: str = "approx",
+        array_rates: Optional[ArrayRates] = None,
     ) -> NodeModel:
-        """Instantiate the reliability model for this configuration."""
+        """The reliability model for this configuration: the one place
+        that picks the node-model class.
+
+        ``rates_method`` and ``array_rates`` reach the internal array of
+        an internal-RAID node (see :class:`InternalRaidNodeModel`); a
+        node without internal RAID has no array and ignores them.
+        """
         if self.internal is InternalRaid.NONE:
             return NoRaidNodeModel(params, self.node_fault_tolerance, rebuild)
         return InternalRaidNodeModel(
-            params, self.internal, self.node_fault_tolerance, rebuild
+            params,
+            self.internal,
+            self.node_fault_tolerance,
+            rebuild,
+            rates_method=rates_method,
+            array_rates=array_rates,
         )
 
     def chain(self, params: Parameters) -> CTMC:
@@ -110,7 +125,7 @@ class Configuration:
     def mttdl_hours(
         self,
         params: Parameters,
-        method: str = "exact",
+        method: str = "analytic",
         *,
         rebuild: Optional[RebuildModel] = None,
     ) -> float:
@@ -118,21 +133,25 @@ class Configuration:
 
         Args:
             params: system parameters.
-            method: ``"exact"`` (numeric chain solve) or ``"approx"``
-                (the paper's closed form).
+            method: ``"analytic"`` (the chain solve of
+                :func:`repro.evaluate`) or ``"closed_form"`` (the paper's
+                approximation).
             rebuild: optional rebuild-time model override.
         """
-        model = self.model(params, rebuild)
-        if method == "exact":
-            return model.mttdl_exact()
-        if method == "approx":
-            return model.mttdl_approx()
-        raise ValueError(f"unknown method {method!r}; use 'exact' or 'approx'")
+        if method == "analytic":
+            from ..engine.facade import evaluate
+
+            return evaluate(self, params, rebuild=rebuild).mttdl_hours
+        if method == "closed_form":
+            return self.model(params, rebuild).mttdl_approx()
+        raise ValueError(
+            f"unknown method {method!r}; use 'analytic' or 'closed_form'"
+        )
 
     def reliability(
         self,
         params: Parameters,
-        method: str = "exact",
+        method: str = "analytic",
         *,
         rebuild: Optional[RebuildModel] = None,
     ) -> ReliabilityResult:
@@ -167,19 +186,12 @@ def sensitivity_configurations() -> List[Configuration]:
     ]
 
 
-def evaluate(
-    config: Configuration, params: Parameters, method: str = "exact"
-) -> ReliabilityResult:
-    """Convenience wrapper around :meth:`Configuration.reliability`."""
-    return config.reliability(params, method)
-
-
 def evaluate_all(
     params: Parameters,
     configs: Optional[Iterable[Configuration]] = None,
-    method: str = "exact",
+    method: str = "analytic",
 ) -> List[Tuple[Configuration, ReliabilityResult]]:
     """Evaluate many configurations under one parameter set."""
     if configs is None:
         configs = ALL_CONFIGURATIONS
-    return [(c, evaluate(c, params, method)) for c in configs]
+    return [(c, c.reliability(params, method)) for c in configs]

@@ -15,15 +15,14 @@ critical-set fraction ``k_t`` of Section 5.2.1 (``k_1 = 1`` for fault
 tolerance 1, matching the paper's NFT-1 formula).
 
 The chain shape is declared in :func:`repro.models.specs.internal_raid_spec`
-and bound per operating point; the original imperative construction is
-kept as :func:`legacy_build_internal_raid_chain`, the equivalence oracle.
+and bound per operating point.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Union
 
-from ..core import CTMC, ChainBuilder
+from ..core import CTMC
 from ..core.spec import ModelSpec
 from .critical_sets import critical_fraction
 from .parameters import Parameters
@@ -35,8 +34,6 @@ __all__ = [
     "build_internal_raid_chain",
     "InternalRaidNodeModel",
 ]
-
-LOSS = "loss"
 
 
 def build_internal_raid_chain(
@@ -85,33 +82,6 @@ def build_internal_raid_chain(
         critical_sector_fraction,
     )
     return compiled(internal_raid_spec(fault_tolerance, parallel_repair)).bind(env)
-
-
-def legacy_build_internal_raid_chain(
-    fault_tolerance: int,
-    n: int,
-    node_failure_rate: float,
-    array_failure_rate: float,
-    restripe_sector_loss_rate: float,
-    node_rebuild_rate: float,
-    critical_sector_fraction: float,
-    parallel_repair: bool = False,
-) -> CTMC:
-    """The original imperative Figure 5/6/7 construction (equivalence
-    oracle for the spec path)."""
-    if fault_tolerance < 1:
-        raise ValueError("fault_tolerance must be >= 1")
-    if n <= fault_tolerance:
-        raise ValueError("node set must be larger than the fault tolerance")
-    lam = node_failure_rate + array_failure_rate
-    builder = ChainBuilder()
-    for j in range(fault_tolerance):
-        builder.add_rate(j, j + 1, (n - j) * lam)
-        repair = node_rebuild_rate * (j + 1 if parallel_repair else 1)
-        builder.add_rate(j + 1, j, repair)
-    final_rate = lam + critical_sector_fraction * restripe_sector_loss_rate
-    builder.add_rate(fault_tolerance, LOSS, (n - fault_tolerance) * final_rate)
-    return builder.build(initial_state=0)
 
 
 class InternalRaidNodeModel:
@@ -225,20 +195,6 @@ class InternalRaidNodeModel:
         """The node-level CTMC (Figure 5, 6 or 7), bound through the
         compiled spec."""
         return compiled(self.spec()).bind(self.chain_env())
-
-    def legacy_chain(self) -> CTMC:
-        """The same chain through the original imperative builder — the
-        oracle the spec path is checked against (bitwise)."""
-        rates = self.array_rates
-        return legacy_build_internal_raid_chain(
-            self._t,
-            self._params.node_set_size,
-            self._params.node_failure_rate,
-            rates.array_failure_rate,
-            rates.restripe_sector_loss_rate,
-            self.node_rebuild_rate,
-            self.critical_sector_fraction,
-        )
 
     def mttdl_exact(self) -> float:
         """MTTDL in hours from the numeric CTMC solve."""

@@ -12,11 +12,10 @@ are its ``k = 1, 2, 3`` cases.
 
 One family serves every ``k``: the chain is declared once in
 :func:`repro.models.specs.no_raid_spec` (states plus symbolic rates over
-the paper's parameters) and bound here per operating point.  The original
-hand-transcribed figure builders are kept as
-``legacy_build_no_raid_chain_ft*`` oracles, and the appendix-literal
-recursion as :func:`repro.models.recursive.legacy_build_recursive_chain`;
-the test suite checks the family against both.
+the paper's parameters) and bound here per operating point.  The chains
+of the hand-transcribed figure builders and of the appendix-literal
+recursion it replaced are frozen in ``tests/data/oracle_chains.json``,
+and the test suite checks the family against them.
 
 State labels are failure words: ``"0"*k`` is fully operational; a word
 like ``"Nd0"`` means a node failure followed by a drive failure, one more
@@ -29,20 +28,18 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Optional, Tuple
 
-from ..core import CTMC, ChainBuilder
+from ..core import CTMC
 from ..core.spec import ModelSpec
 from .critical_sets import h_parameters
 from .parameters import Parameters
 from .rebuild import RebuildModel
-from .recursive import legacy_build_recursive_chain, mttdl_general_approx
+from .recursive import mttdl_general_approx
 from .specs import check_node_count, compiled, no_raid_env, no_raid_spec
 
 __all__ = [
     "build_no_raid_chain",
     "NoRaidNodeModel",
 ]
-
-LOSS = "loss"
 
 
 def build_no_raid_chain(
@@ -82,129 +79,6 @@ def build_no_raid_chain(
         h,
     )
     return compiled(no_raid_spec(fault_tolerance)).bind(env)
-
-
-# --------------------------------------------------------------------- #
-# legacy hand-transcribed builders (oracles for spec equivalence tests)
-# --------------------------------------------------------------------- #
-
-
-def legacy_build_no_raid_chain_ft1(
-    n: int,
-    d: int,
-    node_failure_rate: float,
-    drive_failure_rate: float,
-    node_rebuild_rate: float,
-    drive_rebuild_rate: float,
-    h_n: float,
-    h_d: float,
-) -> CTMC:
-    """The original imperative Figure 8 construction (equivalence oracle)."""
-    _check(n, d, 1)
-    lam_n, lam_d = node_failure_rate, drive_failure_rate
-    h_n, h_d = _clamp(h_n), _clamp(h_d)
-    b = ChainBuilder().add_states("0", "N", "d", LOSS)
-    b.add_rate("0", "N", n * lam_n * (1.0 - h_n))
-    b.add_rate("0", "d", n * d * lam_d * (1.0 - h_d))
-    b.add_rate("0", LOSS, n * (lam_n * h_n + d * lam_d * h_d))
-    b.add_rate("N", "0", node_rebuild_rate)
-    b.add_rate("d", "0", drive_rebuild_rate)
-    second = (n - 1) * (lam_n + d * lam_d)
-    b.add_rate("N", LOSS, second)
-    b.add_rate("d", LOSS, second)
-    return b.build(initial_state="0")
-
-
-def legacy_build_no_raid_chain_ft2(
-    n: int,
-    d: int,
-    node_failure_rate: float,
-    drive_failure_rate: float,
-    node_rebuild_rate: float,
-    drive_rebuild_rate: float,
-    h: Dict[str, float],
-) -> CTMC:
-    """The original imperative Figure 9 construction (equivalence oracle)."""
-    _check(n, d, 2)
-    _check_words(h, 2)
-    lam_n, lam_d = node_failure_rate, drive_failure_rate
-    mu_n, mu_d = node_rebuild_rate, drive_rebuild_rate
-    b = ChainBuilder().add_states("00", "N0", "d0", "NN", "Nd", "dN", "dd", LOSS)
-
-    b.add_rate("00", "N0", n * lam_n)
-    b.add_rate("00", "d0", n * d * lam_d)
-    b.add_rate("N0", "00", mu_n)
-    b.add_rate("d0", "00", mu_d)
-
-    for first, _mu_back in (("N", mu_n), ("d", mu_d)):
-        root = first + "0"
-        h_to_n = _clamp(h[first + "N"])
-        h_to_d = _clamp(h[first + "d"])
-        b.add_rate(root, first + "N", (n - 1) * lam_n * (1.0 - h_to_n))
-        b.add_rate(root, first + "d", (n - 1) * d * lam_d * (1.0 - h_to_d))
-        b.add_rate(root, LOSS, (n - 1) * (lam_n * h_to_n + d * lam_d * h_to_d))
-        b.add_rate(first + "N", root, mu_n)
-        b.add_rate(first + "d", root, mu_d)
-
-    third = (n - 2) * (lam_n + d * lam_d)
-    for leaf in ("NN", "Nd", "dN", "dd"):
-        b.add_rate(leaf, LOSS, third)
-    return b.build(initial_state="00")
-
-
-def legacy_build_no_raid_chain_ft3(
-    n: int,
-    d: int,
-    node_failure_rate: float,
-    drive_failure_rate: float,
-    node_rebuild_rate: float,
-    drive_rebuild_rate: float,
-    h: Dict[str, float],
-) -> CTMC:
-    """The original imperative Figure 10 construction (equivalence oracle)."""
-    _check(n, d, 3)
-    _check_words(h, 3)
-    lam_n, lam_d = node_failure_rate, drive_failure_rate
-    mu_n, mu_d = node_rebuild_rate, drive_rebuild_rate
-    mu = {"N": mu_n, "d": mu_d}
-    b = ChainBuilder().add_state("000")
-
-    b.add_rate("000", "N00", n * lam_n)
-    b.add_rate("000", "d00", n * d * lam_d)
-    b.add_rate("N00", "000", mu_n)
-    b.add_rate("d00", "000", mu_d)
-
-    for first in "Nd":
-        for second in "Nd":
-            state = first + second + "0"
-            b.add_rate(first + "00", state, (n - 1) * (lam_n if second == "N" else d * lam_d))
-            b.add_rate(state, first + "00", mu[second])
-
-    for prefix in ("NN", "Nd", "dN", "dd"):
-        root = prefix + "0"
-        h_to_n = _clamp(h[prefix + "N"])
-        h_to_d = _clamp(h[prefix + "d"])
-        b.add_rate(root, prefix + "N", (n - 2) * lam_n * (1.0 - h_to_n))
-        b.add_rate(root, prefix + "d", (n - 2) * d * lam_d * (1.0 - h_to_d))
-        b.add_rate(root, LOSS, (n - 2) * (lam_n * h_to_n + d * lam_d * h_to_d))
-        b.add_rate(prefix + "N", root, mu_n)
-        b.add_rate(prefix + "d", root, mu_d)
-
-    fourth = (n - 3) * (lam_n + d * lam_d)
-    for first in "Nd":
-        for second in "Nd":
-            for third_letter in "Nd":
-                b.add_rate(first + second + third_letter, LOSS, fourth)
-    return b.build(initial_state="000")
-
-
-#: The hand-transcribed figure builders by fault tolerance, each called
-#: with the whole h-word map (oracles for :meth:`legacy_chain`).
-_FIGURE_ORACLES = {
-    1: lambda *args, h: legacy_build_no_raid_chain_ft1(*args, h["N"], h["d"]),
-    2: legacy_build_no_raid_chain_ft2,
-    3: legacy_build_no_raid_chain_ft3,
-}
 
 
 class NoRaidNodeModel:
@@ -275,16 +149,6 @@ class NoRaidNodeModel:
         """The chain, bound through the compiled spec."""
         return compiled(self.spec()).bind(self.chain_env())
 
-    def legacy_chain(self) -> CTMC:
-        """The same chain through an imperative oracle: the hand-drawn
-        Figure 8/9/10 builder for k <= 3, the appendix-literal recursion
-        beyond."""
-        h = self.hard_error_parameters()
-        figure = _FIGURE_ORACLES.get(self._t)
-        if figure is None:
-            return legacy_build_recursive_chain(self._t, *self._args(), h)
-        return figure(*self._args(), h=h)
-
     def mttdl_exact(self) -> float:
         """MTTDL in hours from the numeric CTMC solve."""
         return self.chain().mean_time_to_absorption()
@@ -295,21 +159,3 @@ class NoRaidNodeModel:
             self._t, *self._args(), self.hard_error_parameters()
         )
 
-
-def _check(n: int, d: int, t: int) -> None:
-    if n <= t:
-        raise ValueError("node set must be larger than the fault tolerance")
-    if d < 1:
-        raise ValueError("need at least one drive per node")
-
-
-def _check_words(h: Dict[str, float], k: int) -> None:
-    expected = 2**k
-    if len(h) < expected:
-        raise ValueError(f"need all {expected} h-parameters for fault tolerance {k}")
-
-
-def _clamp(h: float) -> float:
-    if h < 0:
-        raise ValueError(f"hard error probability must be >= 0, got {h}")
-    return min(h, 1.0)

@@ -27,10 +27,17 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional, Union
 
-from ..core import CTMC, ChainBuilder
+from ..core import CTMC
 from .parameters import Parameters
 from .rebuild import RebuildModel
-from .specs import compiled, raid5_spec, raid6_spec, raid_env
+from .specs import (
+    LOSS_DRIVES,
+    LOSS_SECTOR,
+    compiled,
+    raid5_spec,
+    raid6_spec,
+    raid_env,
+)
 
 __all__ = [
     "InternalRaid",
@@ -44,8 +51,6 @@ __all__ = [
     "raid5_mttdl_approx",
     "raid6_mttdl_approx",
 ]
-
-LOSS = "loss"
 
 
 class InternalRaid(Enum):
@@ -148,48 +153,6 @@ def build_raid6_chain(
         minimum_drives=3,
     )
     return compiled(raid6_spec(split_loss)).bind(env)
-
-
-def legacy_build_raid5_chain(
-    d: int,
-    drive_failure_rate: float,
-    restripe_rate: float,
-    hard_error_probability: float,
-    split_loss: bool = False,
-) -> CTMC:
-    """The original imperative Figure 1 construction (equivalence oracle)."""
-    _check_array(d, minimum=2)
-    h = _clamp_probability(hard_error_probability)
-    lam, mu = drive_failure_rate, restripe_rate
-    sector, drives = (LOSS_SECTOR, LOSS_DRIVES) if split_loss else (LOSS, LOSS)
-    builder = ChainBuilder().add_states(0, 1)
-    builder.add_rate(0, 1, d * lam * (1.0 - h))
-    builder.add_rate(0, sector, d * lam * h)
-    builder.add_rate(1, 0, mu)
-    builder.add_rate(1, drives, (d - 1) * lam)
-    return builder.build(initial_state=0)
-
-
-def legacy_build_raid6_chain(
-    d: int,
-    drive_failure_rate: float,
-    restripe_rate: float,
-    hard_error_probability: float,
-    split_loss: bool = False,
-) -> CTMC:
-    """The original imperative Figure 4 construction (equivalence oracle)."""
-    _check_array(d, minimum=3)
-    h = _clamp_probability(hard_error_probability)
-    lam, mu = drive_failure_rate, restripe_rate
-    sector, drives = (LOSS_SECTOR, LOSS_DRIVES) if split_loss else (LOSS, LOSS)
-    builder = ChainBuilder().add_states(0, 1, 2)
-    builder.add_rate(0, 1, d * lam)
-    builder.add_rate(1, 0, mu)
-    builder.add_rate(1, 2, (d - 1) * lam * (1.0 - h))
-    builder.add_rate(1, sector, (d - 1) * lam * h)
-    builder.add_rate(2, 1, mu)
-    builder.add_rate(2, drives, (d - 2) * lam)
-    return builder.build(initial_state=0)
 
 
 # --------------------------------------------------------------------- #
@@ -296,9 +259,6 @@ def _exact_rates(chain_builder, restripe_rate: float) -> "ArrayRates":
         mttdl_source=mttdl,
     )
 
-
-LOSS_DRIVES = "loss-drives"
-LOSS_SECTOR = "loss-sector"
 
 
 class Raid5Model(_BaseArrayModel):

@@ -1,16 +1,12 @@
-"""The appendix's closed form and its literal recursive construction.
+"""The appendix's closed form.
 
 The appendix observes that the fault-tolerance-``k`` no-internal-RAID
 chain contains two copies of the fault-tolerance-``k-1`` chain (one
 entered by a node failure, one by a drive failure) plus a new root,
-giving ``2^(k+1) - 1`` non-absorbing states.  The production chain for
-every ``k`` is :func:`repro.models.specs.no_raid_spec`, bound by
+giving ``2^(k+1) - 1`` non-absorbing states.  The chain for every ``k``
+is :func:`repro.models.specs.no_raid_spec`, bound by
 :class:`repro.models.no_raid.NoRaidNodeModel`.  This module holds:
 
-* :func:`legacy_build_recursive_chain` — the literal recursive
-  construction (merge the absorbing states, prefix the labels, decrement
-  N, prefix the h-subscripts, wire the new root), kept as an oracle the
-  one family is checked against;
 * :func:`l_value` / :func:`l_k` — the appendix's ``L`` and ``L_k``
   recursions; and
 * :func:`mttdl_general_approx` — Figure A1's closed form
@@ -24,119 +20,15 @@ every ``k`` is :func:`repro.models.specs.no_raid_spec`, bound by
 
 from __future__ import annotations
 
-from typing import List, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from ..core import CTMC, ChainBuilder
+from .specs import _words
 
 __all__ = [
     "l_value",
     "l_k",
     "mttdl_general_approx",
 ]
-
-LOSS = "loss"
-
-
-def _build_level(
-    builder: ChainBuilder,
-    prefix: str,
-    k: int,
-    remaining: int,
-    n_eff: int,
-    d: int,
-    lam_n: float,
-    lam_d: float,
-    mu_n: float,
-    mu_d: float,
-    h: Mapping[str, float],
-    n_total: int,
-) -> None:
-    """Recursively add the sub-chain rooted at ``prefix + "0" * remaining``.
-
-    Args:
-        prefix: failure word so far (letters over {N, d}).
-        k: total fault tolerance of the whole chain.
-        remaining: how many more failures are tolerated below this root.
-        n_eff: effective node count at this level (N minus failures so far).
-        n_total: the original N (for the absorbing rates ``(N-k)(...)``).
-    """
-    root = prefix + "0" * remaining
-    if remaining == 0:
-        # Innermost: a (k+1)-th failure anywhere loses data.
-        builder.add_rate(root, LOSS, (n_total - k) * (lam_n + d * lam_d))
-        return
-
-    mu = {"N": mu_n, "d": mu_d}
-    for letter, rate in (("N", lam_n), ("d", d * lam_d)):
-        child_prefix = prefix + letter
-        child = child_prefix + "0" * (remaining - 1)
-        if remaining == 1:
-            # Transition into a critical state: the h-split applies.
-            h_split = min(max(h[child_prefix], 0.0), 1.0)
-            builder.add_rate(root, child, n_eff * rate * (1.0 - h_split))
-            builder.add_rate(root, LOSS, n_eff * rate * h_split)
-        else:
-            builder.add_rate(root, child, n_eff * rate)
-        builder.add_rate(child, root, mu[letter])
-        _build_level(
-            builder,
-            child_prefix,
-            k,
-            remaining - 1,
-            n_eff - 1,
-            d,
-            lam_n,
-            lam_d,
-            mu_n,
-            mu_d,
-            h,
-            n_total,
-        )
-
-
-def legacy_build_recursive_chain(
-    fault_tolerance: int,
-    n: int,
-    d: int,
-    node_failure_rate: float,
-    drive_failure_rate: float,
-    node_rebuild_rate: float,
-    drive_rebuild_rate: float,
-    h: Mapping[str, float],
-) -> CTMC:
-    """The original imperative appendix construction (equivalence oracle)."""
-    k = fault_tolerance
-    if k < 1:
-        raise ValueError("fault_tolerance must be >= 1")
-    if n <= k:
-        raise ValueError("node set must be larger than the fault tolerance")
-    if d < 1:
-        raise ValueError("need at least one drive per node")
-    missing = [w for w in _words(k) if w not in h]
-    if missing:
-        raise ValueError(f"missing h-parameters for words: {missing[:4]}...")
-
-    builder = ChainBuilder().add_state("0" * k)
-    _build_level(
-        builder,
-        prefix="",
-        k=k,
-        remaining=k,
-        n_eff=n,
-        d=d,
-        lam_n=node_failure_rate,
-        lam_d=drive_failure_rate,
-        mu_n=node_rebuild_rate,
-        mu_d=drive_rebuild_rate,
-        h=h,
-        n_total=n,
-    )
-    return builder.build(initial_state="0" * k)
-
-
-# --------------------------------------------------------------------- #
-# the appendix's L / L_k recursion and Figure A1 closed form
-# --------------------------------------------------------------------- #
 
 
 def l_value(x: float, y: float, node_failure_rate: float, drive_failure_rate: float, d: int) -> float:
@@ -228,11 +120,3 @@ def mttdl_general_approx(
     )
     return (mu_n * mu_d) ** k / denominator
 
-
-def _words(k: int) -> List[str]:
-    """All length-k failure words in the appendix's order (N before d)."""
-    words = [""]
-    for _ in range(k):
-        words = [w + letter for w in words for letter in "Nd"]
-    # Build in prefix-major order: ["NN", "Nd", "dN", "dd"] for k = 2.
-    return sorted(words, key=lambda w: [0 if c == "N" else 1 for c in w])

@@ -5,24 +5,20 @@ pipeline: each of the nine configuration families is expressed once as a
 :class:`~repro.core.spec.ModelSpec` whose edge rates are symbolic
 expressions over the paper's parameters (``lambda_N``, ``lambda_d``,
 ``mu_N``, ``mu_d``, the ``h``-with-subscript probabilities, ``k_t``,
-...), and the companion ``*_env`` functions turn the legacy builder
+...), and the companion ``*_env`` functions turn the builders' raw
 arguments into binding environments — scalars for a single chain, numpy
 arrays for a whole lattice in one :meth:`CompiledChain.bind_batch` pass.
 
-Bit-exactness: each spec reproduces the corresponding hand-written
-builder's state registration order (which fixes the generator layout
-and the GTH elimination order), rate formulas in the same operation
-order, and clamping.  The legacy builders are kept as ``legacy_build_*``
-oracles in :mod:`repro.models.no_raid`, :mod:`repro.models.internal_raid`,
-:mod:`repro.models.raid` and :mod:`repro.models.recursive`, and the test
-suite asserts bitwise generator equality against them.  The one
-no-internal-RAID spec builds every fault tolerance level by level (the
-appendix's doubling): it equals Figures 8 and 10 bitwise, and Figure 9
-up to the order its exit-rate sums add (``"loss"`` registers after
-``"Nd"``, not last), with bitwise off-diagonal rates and MTTDL.  Beyond
-``k = 3`` it matches the appendix-literal recursion within a few ulp
-per rate.  The detection-latency spec has no legacy builder left; its
-generators are pinned bitwise by frozen fixtures instead.
+Bit-exactness: each spec reproduces the state registration order (which
+fixes the generator layout and the GTH elimination order), rate formulas
+in the same operation order, and clamping of the hand-written builders
+it replaced.  Those builders' chains are frozen in
+``tests/data/oracle_chains.json`` (and the detection-latency chains in
+``tests/data/detection_chains.json``), and the test suite compares the
+specs with them: bitwise for Figures 1, 4, 5-7, 8 and 10; for Figure 9
+by label (``"loss"`` registers after ``"Nd"``, not last), with bitwise
+off-diagonal rates and MTTDL; and within a few ulp per rate against the
+appendix-literal recursion, up to ``k = 6``.
 
 Specs are memoized per structural signature (family + fault tolerance +
 flags) and their compiled forms live in a module-level
@@ -66,9 +62,7 @@ __all__ = [
     "check_node_count",
 ]
 
-# Absorbing-state labels; textual duplicates of the constants in
-# repro.models.raid / no_raid (importing them would be circular — those
-# modules wrap the specs defined here).
+# Absorbing-state labels.
 LOSS = "loss"
 LOSS_DRIVES = "loss-drives"
 LOSS_SECTOR = "loss-sector"
@@ -195,9 +189,8 @@ def internal_raid_spec(
     """Figure 5/6/7 as a spec; parameters ``n, lambda_N, lambda_D,
     lambda_S, mu_N, k_t``.
 
-    ``parallel_repair`` reproduces the scheduling ablation of the legacy
-    builder: repair out of state ``j+1`` runs at ``(j+1) mu_N`` instead
-    of ``mu_N``.
+    ``parallel_repair`` is the scheduling ablation: repair out of state
+    ``j+1`` runs at ``(j+1) mu_N`` instead of ``mu_N``.
     """
     if fault_tolerance < 1:
         raise ValueError("fault_tolerance must be >= 1")
@@ -421,7 +414,7 @@ def spec_hash_index(max_fault_tolerance: int = 3) -> Dict[str, str]:
 
 
 # --------------------------------------------------------------------- #
-# shared validation helpers (mirroring the legacy builders')
+# shared validation helpers
 # --------------------------------------------------------------------- #
 
 

@@ -35,6 +35,7 @@ from ..models.parameters import ParameterError, Parameters
 
 __all__ = [
     "MAX_ADVISE_CANDIDATES_PER_REQUEST",
+    "MAX_FAULT_TOLERANCE",
     "MAX_POINTS_PER_REQUEST",
     "AdviseQuery",
     "PointQuery",
@@ -54,6 +55,12 @@ MAX_POINTS_PER_REQUEST = 256
 #: Cap on Monte-Carlo replicas per served point (simulation is the one
 #: method whose cost the client controls directly).
 MAX_REPLICAS_PER_POINT = 10_000
+
+#: Cap on a served configuration's cross-node fault tolerance.  The
+#: no-internal-RAID chain has 2^(k+1) - 1 transient states, and its spec
+#: is built before any node-count check; at 6 that is 127 states, the
+#: largest chain the test suite solves.
+MAX_FAULT_TOLERANCE = 6
 
 #: Cap on axis values per /v1/sweep call.
 MAX_SWEEP_VALUES = 512
@@ -157,6 +164,24 @@ class PointQuery:
         return point_key(self.config, self.params, self.method, extra or None)
 
 
+def _check_fault_tolerance(fault_tolerance: int) -> None:
+    _require(
+        fault_tolerance <= MAX_FAULT_TOLERANCE,
+        f"fault tolerance {fault_tolerance} is above the served maximum "
+        f"of {MAX_FAULT_TOLERANCE}",
+    )
+
+
+def _configuration(key: str) -> Configuration:
+    """The configuration a key names, within the served tolerance."""
+    try:
+        config = Configuration.from_key(key)
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from None
+    _check_fault_tolerance(config.node_fault_tolerance)
+    return config
+
+
 def _parse_point(obj: Any, base: Parameters) -> PointQuery:
     _require(isinstance(obj, Mapping), "each point must be an object")
     unknown = set(obj) - {
@@ -175,10 +200,7 @@ def _parse_point(obj: Any, base: Parameters) -> PointQuery:
     _require(
         isinstance(key, str), 'each point needs a "config" key, e.g. "ft2_raid5"'
     )
-    try:
-        config = Configuration.from_key(key)
-    except ValueError as exc:
-        raise ProtocolError(str(exc)) from None
+    config = _configuration(key)
     method = obj.get("method", "analytic")
     _require(isinstance(method, str), '"method" must be a string')
     try:
@@ -308,10 +330,7 @@ def parse_sweep_body(body: Any, base: Parameters) -> SweepQuery:
     configs = []
     for key in raw_configs:
         _require(isinstance(key, str), "configuration keys must be strings")
-        try:
-            configs.append(Configuration.from_key(key))
-        except ValueError as exc:
-            raise ProtocolError(str(exc)) from None
+        configs.append(_configuration(key))
     axis = body.get("axis")
     _require(isinstance(axis, Mapping), '"axis" must be an object')
     _require(
@@ -393,6 +412,7 @@ def parse_advise_body(body: Any, base: Parameters) -> AdviseQuery:
         request.space.validate(base)
     except (AdviseError, CostError, SpaceError) as exc:
         raise ProtocolError(str(exc)) from None
+    _check_fault_tolerance(max(request.space.configs.fault_tolerances))
     _require(
         request.space.size() <= MAX_ADVISE_CANDIDATES_PER_REQUEST,
         f"search space has {request.space.size()} candidates; "

@@ -34,7 +34,6 @@ from ..cli_common import add_observability_arguments, observed_session
 from ..engine.cache import DiskCache
 from ..runtime.chunks import default_jobs
 from ..models.configurations import Configuration
-from ..models.internal_raid import InternalRaidNodeModel
 from ..models.parameters import Parameters
 from ..models.raid import InternalRaid
 from ..verify.oracles import mc_bias_envelope
@@ -128,15 +127,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 mc = cached_estimate(
                     config, acc, args.replicas, args.seed, jobs, cache
                 )
-                if config.internal is InternalRaid.NONE:
-                    analytic = config.mttdl_hours(acc)
-                else:
-                    analytic = InternalRaidNodeModel(
-                        acc,
-                        config.internal,
-                        config.node_fault_tolerance,
-                        rates_method="exact",
-                    ).mttdl_exact()
+                analytic = config.model(acc, rates_method="exact").mttdl_exact()
                 z = (analytic - mc.mean_hours) / mc.std_error_hours
                 case_span.set("z", z)
             band = SIGMAS * mc.std_error_hours + mc_bias_envelope(config) * analytic

@@ -9,7 +9,7 @@ machine-checkable invariants:
   :class:`VerifyContext` every check runs against;
 * :mod:`~repro.verify.invariants` — the paper-derived properties
   (monotonicity, dominance, ``k3 <= k2 <= 1``, generator conservation,
-  closed-form error envelopes, spec-vs-legacy bitwise equivalence);
+  closed-form error envelopes);
 * :mod:`~repro.verify.oracles` — metamorphic and cross-method oracles
   triangulating analytic, closed-form and seeded Monte-Carlo estimates;
 * :mod:`~repro.verify.faults` — fault injection (corrupt cache

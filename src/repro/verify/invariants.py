@@ -16,9 +16,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-import numpy as np
-
-from ..core import CTMC
 from ..core.solvers import SolveOptions, SolveRequest, solve
 from ..core.sparse import SparseChain
 from ..models.configurations import Configuration
@@ -118,78 +115,6 @@ def check_generator_conservation(ctx: VerifyContext) -> Tuple[int, List[Violatio
                 )
             )
     return checked, violations
-
-
-#: Beyond Figure 10 the no-RAID oracle is the appendix-literal
-#: recursion, whose depth-first state order groups some rate products
-#: differently: there the spec chain agrees within these bounds, not
-#: bitwise.
-ORACLE_RATE_ULP = 4
-ORACLE_MTTDL_REL = 2e-15
-
-
-@invariant(
-    "spec-legacy-equivalence",
-    "Every configuration's chain built through the compiled declarative "
-    "spec matches the legacy imperative builder it superseded: same "
-    "states and initial state and, where the transient order agrees, "
-    "bitwise off-diagonal rates and MTTDL (the whole generator where the "
-    "state orders agree); against the appendix-literal recursion, rates "
-    "within 4 ulp and MTTDL within 2e-15 relative.",
-    tags=("core", "spec", "smoke"),
-)
-def check_spec_legacy_equivalence(ctx: VerifyContext) -> Tuple[int, List[Violation]]:
-    violations: List[Violation] = []
-    checked = 0
-    for i, params in enumerate(ctx.points):
-        for config in ctx.configs:
-            checked += 1
-            model = config.model(params)
-            details = _oracle_agreement(model.chain(), model.legacy_chain())
-            if all(details.values()):
-                continue
-            violations.append(
-                Violation(
-                    invariant="spec-legacy-equivalence",
-                    message="spec-compiled chain differs from legacy builder",
-                    config=config.key,
-                    point=ctx.point_label(i),
-                    details=details,
-                )
-            )
-    return checked, violations
-
-
-def _oracle_agreement(spec_chain: CTMC, legacy_chain: CTMC) -> Dict[str, bool]:
-    """The spec-legacy-equivalence verdicts for one pair of chains."""
-    details = {
-        "states_equal": set(spec_chain.states) == set(legacy_chain.states),
-        "initial_equal": spec_chain.initial_state == legacy_chain.initial_state,
-    }
-    if not details["states_equal"]:
-        return details
-    order = [legacy_chain.states.index(s) for s in spec_chain.states]
-    spec = spec_chain.generator_matrix()
-    legacy = legacy_chain.generator_matrix()[np.ix_(order, order)]
-    if spec_chain.states != legacy_chain.states:
-        # The exit-rate diagonal sums a row in state order.
-        np.fill_diagonal(spec, 0.0)
-        np.fill_diagonal(legacy, 0.0)
-    spec_mttdl = spec_chain.mean_time_to_absorption()
-    legacy_mttdl = legacy_chain.mean_time_to_absorption()
-    if spec_chain.transient_states() == legacy_chain.transient_states():
-        details["rates_bitwise_equal"] = np.array_equal(spec, legacy)
-        details["mttdl_bitwise_equal"] = spec_mttdl == legacy_mttdl
-    else:
-        scale = np.spacing(np.maximum(np.abs(spec), np.abs(legacy)))
-        details["edges_equal"] = np.array_equal(spec != 0, legacy != 0)
-        details["rates_within_ulp"] = bool(
-            np.all(np.abs(spec - legacy) <= ORACLE_RATE_ULP * scale)
-        )
-        details["mttdl_within_rel"] = (
-            abs(spec_mttdl - legacy_mttdl) <= ORACLE_MTTDL_REL * legacy_mttdl
-        )
-    return details
 
 
 @invariant(

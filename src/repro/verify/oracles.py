@@ -25,8 +25,8 @@ from typing import List, Optional, Tuple
 
 from ..engine.sweep import SweepEngine
 from ..models.configurations import Configuration
-from ..models.internal_raid import InternalRaid, InternalRaidNodeModel
 from ..models.parameters import Parameters
+from ..models.raid import InternalRaid
 from ..sim.monte_carlo import (
     MonteCarloResult,
     accelerated_parameters,
@@ -138,14 +138,7 @@ def mc_reference_mttdl(config: Configuration, params: Parameters) -> float:
     (the physical simulation makes no such approximation); no-RAID chains
     are simulation-equivalent by construction.
     """
-    if config.internal is InternalRaid.NONE:
-        return config.mttdl_hours(params)
-    return InternalRaidNodeModel(
-        params,
-        config.internal,
-        config.node_fault_tolerance,
-        rates_method="exact",
-    ).mttdl_exact()
+    return config.model(params, rates_method="exact").mttdl_exact()
 
 
 def cross_method_check(

@@ -89,10 +89,11 @@ class TestRequest:
         assert request.seed == 0
 
     def test_method_aliases(self):
-        assert AdviseRequest(method="exact").method == "analytic"
-        assert AdviseRequest(method="approx").method == "closed_form"
-        with pytest.raises(AdviseError, match="method"):
-            AdviseRequest(method="monte-carlo")
+        """Only the three method names exist; the pre-engine spellings
+        are rejected like any other."""
+        for method in ("exact", "approx", "monte-carlo"):
+            with pytest.raises(AdviseError, match="method"):
+                AdviseRequest(method=method)
 
     def test_bounds_validated(self):
         with pytest.raises(AdviseError, match="target_events_per_pb_year"):

@@ -68,8 +68,8 @@ class TestReportMechanics:
         assert report.params.node_set_size == 32
 
     def test_approx_method(self, gentle_params):
-        exact = run_baseline(gentle_params, method="exact")
-        approx = run_baseline(gentle_params, method="approx")
+        exact = run_baseline(gentle_params, method="analytic")
+        approx = run_baseline(gentle_params, method="closed_form")
         for (c1, r1), (c2, r2) in zip(exact.results, approx.results):
             assert r2.mttdl_hours == pytest.approx(r1.mttdl_hours, rel=0.05)
 

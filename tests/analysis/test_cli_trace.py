@@ -30,7 +30,9 @@ class TestFiguresTraceFlag:
         names = {s["name"] for s in spans}
         assert "repro-figures" in names
         assert "figure.13" in names
-        assert "ctmc.solve" in names
+        # Figure 13's analytic points solve through repro.evaluate, so
+        # the trace names the backend that answered.
+        assert {"repro.evaluate", "solve.backend"} <= names
         assert tree_coverage(spans) >= 0.95
 
     def test_fig_flag_merges_with_positional(self, capsys):

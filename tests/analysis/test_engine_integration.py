@@ -49,7 +49,7 @@ class TestFigureParity:
         _assert_same_figure(plain, fast)
         assert fast.axis_values == (16, 48)
 
-    @pytest.mark.parametrize("method", ["exact", "approx"])
+    @pytest.mark.parametrize("method", ["analytic", "closed_form"])
     def test_all_figures_one_batch_bitwise(self, baseline, method):
         """Every figure's points go to the engine in one batch, and the
         series equal the point-by-point path bit for bit."""
@@ -106,7 +106,7 @@ class TestDesignSpaceParity:
         )
         assert len(result.frontier) > 3
         for candidate in result.frontier:
-            plain = candidate.config.reliability(candidate.params, "exact")
+            plain = candidate.config.reliability(candidate.params, "analytic")
             assert candidate.result == plain
 
 

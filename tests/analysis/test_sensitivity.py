@@ -45,11 +45,11 @@ class TestSweep:
     def test_approx_method_propagates(self, gentle_params, configs):
         exact = sweep(
             configs, gentle_params, [500_000],
-            lambda p, x: p.replace(drive_mttf_hours=float(x)), method="exact",
+            lambda p, x: p.replace(drive_mttf_hours=float(x)), method="analytic",
         )
         approx = sweep(
             configs, gentle_params, [500_000],
-            lambda p, x: p.replace(drive_mttf_hours=float(x)), method="approx",
+            lambda p, x: p.replace(drive_mttf_hours=float(x)), method="closed_form",
         )
         assert approx[0].mttdl_hours == pytest.approx(exact[0].mttdl_hours, rel=0.05)
 

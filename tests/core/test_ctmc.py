@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import CTMC, CTMCError, ChainBuilder, NotAbsorbingError, Transition
+from repro.core import CTMC, CTMCError, NotAbsorbingError, Transition
 
 
 def two_state_chain(lam=2.0, mu=50.0, kill=1.0) -> CTMC:
@@ -80,7 +80,7 @@ class TestConstruction:
     def test_zero_rate_rejected(self):
         """Regression: a zero-rate transition is a structural no-op that
         silently distorted memoized topologies; it must be rejected at
-        construction (ChainBuilder.add_rate drops zero rates instead)."""
+        construction (callers drop zero rates before building)."""
         with pytest.raises(CTMCError, match="rate"):
             Transition("a", "b", 0.0)
 

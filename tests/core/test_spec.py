@@ -6,7 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.core import CTMC, ChainBuilder, Transition
+from repro.core import CTMC, Transition
 from repro.core.spec import (
     CompiledSpecCache,
     ModelSpec,
@@ -34,12 +34,18 @@ def _toy_env(lam=0.25, mu=40.0, h=0.125):
 
 
 def _toy_reference(env):
-    b = ChainBuilder()
-    b.add_rate("up", "degraded", env["lam"] * (1.0 - env["h"]))
-    b.add_rate("up", "lost", env["lam"] * env["h"])
-    b.add_rate("degraded", "up", env["mu"])
-    b.add_rate("degraded", "lost", 2.0 * env["lam"])
-    return b.build("up")
+    """The toy chain built directly, zero rates dropped."""
+    rates = [
+        ("up", "degraded", env["lam"] * (1.0 - env["h"])),
+        ("up", "lost", env["lam"] * env["h"]),
+        ("degraded", "up", env["mu"]),
+        ("degraded", "lost", 2.0 * env["lam"]),
+    ]
+    return CTMC(
+        ("up", "degraded", "lost"),
+        [Transition(src, dst, rate) for src, dst, rate in rates if rate > 0],
+        initial_state="up",
+    )
 
 
 class TestRateExpr:
@@ -166,7 +172,7 @@ class TestCompiledChain:
     def test_zero_rate_keeps_topology_fixed(self):
         """h = 1 zeroes the up->degraded edge; the compiled chain writes an
         explicit 0.0 instead of dropping the edge, so the matrix still
-        matches the builder's (which drops it — same zero entry)."""
+        matches the reference chain's (which drops it — same zero entry)."""
         env = _toy_env(h=1.0)
         bound = _toy_spec().compile().bind(env)
         reference = _toy_reference(env)

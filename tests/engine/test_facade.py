@@ -24,7 +24,7 @@ class TestAnalyticParity:
         """repro.evaluate() must equal the old evaluate()/reliability path
         for every one of the paper's nine configurations."""
         new = evaluate(config, baseline)
-        old = config.reliability(baseline, "exact")
+        old = config.reliability(baseline, "analytic")
         assert new.mttdl_hours == old.mttdl_hours
         assert new.events_per_pb_year == old.events_per_pb_year
 
@@ -74,7 +74,7 @@ class TestClosedFormParity:
         new = evaluate(
             config, baseline, options=SolveOptions(backend="closed_form")
         )
-        old = config.reliability(baseline, "approx")
+        old = config.reliability(baseline, "closed_form")
         assert new.mttdl_hours == old.mttdl_hours
 
 

@@ -12,9 +12,7 @@ class TestNormalizeMethod:
         "alias,canonical",
         [
             ("analytic", "analytic"),
-            ("exact", "analytic"),
             ("closed_form", "closed_form"),
-            ("approx", "closed_form"),
             ("monte_carlo", "monte_carlo"),
         ],
     )
@@ -24,6 +22,13 @@ class TestNormalizeMethod:
     def test_unknown_rejected(self):
         with pytest.raises(ValueError, match="unknown method"):
             normalize_method("simulation")
+
+    @pytest.mark.parametrize("spelling", ["exact", "approx"])
+    def test_pre_engine_spellings_rejected(self, spelling):
+        with pytest.raises(
+            ValueError, match="'analytic', 'closed_form' or 'monte_carlo'"
+        ):
+            normalize_method(spelling)
 
 
 class TestMttdlBatched:
@@ -51,13 +56,13 @@ class TestEvaluateChunk:
     def test_analytic_matches_reliability(self, baseline):
         tasks = [(c, baseline, "analytic") for c in ALL_CONFIGURATIONS]
         mttdls = evaluate_chunk(tasks)
-        expected = [c.mttdl_hours(baseline, "exact") for c in ALL_CONFIGURATIONS]
+        expected = [c.mttdl_hours(baseline, "analytic") for c in ALL_CONFIGURATIONS]
         assert mttdls == expected
 
     def test_closed_form_matches_reliability(self, baseline):
         tasks = [(c, baseline, "closed_form") for c in ALL_CONFIGURATIONS]
         mttdls = evaluate_chunk(tasks)
-        expected = [c.mttdl_hours(baseline, "approx") for c in ALL_CONFIGURATIONS]
+        expected = [c.mttdl_hours(baseline, "closed_form") for c in ALL_CONFIGURATIONS]
         assert mttdls == expected
 
     def test_memo_reuse_does_not_change_results(self, baseline):

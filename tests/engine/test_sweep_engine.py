@@ -25,19 +25,29 @@ class TestPoolVsSerial:
         pairs = _grid_pairs(baseline, n_x=2)
         engine = SweepEngine(jobs=1)
         got = engine.evaluate_many(pairs)
-        expected = [c.reliability(p, "exact") for c, p in pairs]
+        expected = [c.reliability(p, "analytic") for c, p in pairs]
         assert [r.mttdl_hours for r in got] == [r.mttdl_hours for r in expected]
 
     def test_closed_form_matches_pre_engine_loop(self, baseline):
         pairs = _grid_pairs(baseline, n_x=2)
         got = SweepEngine().evaluate_many(pairs, method="closed_form")
-        expected = [c.reliability(p, "approx") for c, p in pairs]
+        expected = [c.reliability(p, "closed_form") for c, p in pairs]
         assert [r.mttdl_hours for r in got] == [r.mttdl_hours for r in expected]
 
     def test_monte_carlo_rejected(self, baseline):
         with pytest.raises(ValueError, match="monte_carlo"):
             SweepEngine().evaluate_many(
                 [(ALL_CONFIGURATIONS[0], baseline)], method="monte_carlo"
+            )
+
+    @pytest.mark.parametrize("method", ["exact", "approx"])
+    def test_pre_engine_spellings_rejected(self, baseline, method):
+        names = "'analytic', 'closed_form' or 'monte_carlo'"
+        with pytest.raises(ValueError, match=names):
+            SweepEngine(method=method)
+        with pytest.raises(ValueError, match=names):
+            SweepEngine().evaluate_many(
+                [(ALL_CONFIGURATIONS[0], baseline)], method=method
             )
 
 
@@ -64,7 +74,7 @@ class TestNoDiskCache:
     def test_cache_false_accepted(self, baseline):
         pairs = _grid_pairs(baseline, n_x=1)
         got = SweepEngine(cache=False).evaluate_many(pairs)
-        expected = [c.reliability(p, "exact") for c, p in pairs]
+        expected = [c.reliability(p, "analytic") for c, p in pairs]
         assert [r.mttdl_hours for r in got] == [r.mttdl_hours for r in expected]
 
     @pytest.mark.parametrize("value", [True, "dir", "instance"])
@@ -87,7 +97,7 @@ class TestNoDiskCache:
         prov = fresh.provenance()
         assert prov.spec_misses == 0
         assert prov.spec_hits == len(ALL_CONFIGURATIONS)
-        expected = [c.reliability(p, "exact") for c, p in pairs]
+        expected = [c.reliability(p, "analytic") for c, p in pairs]
         assert [r.mttdl_hours for r in results] == [
             r.mttdl_hours for r in expected
         ]
@@ -131,7 +141,7 @@ class TestSweepAndGrid:
         )
         for point in points:
             expected = point.config.reliability(
-                baseline.replace(drive_mttf_hours=point.x), "exact"
+                baseline.replace(drive_mttf_hours=point.x), "analytic"
             )
             assert point.mttdl_hours == expected.mttdl_hours
 
@@ -144,7 +154,7 @@ class TestSweepAndGrid:
             engine=SweepEngine(jobs=1),
         )
         expected = sensitivity_configurations()[0].reliability(
-            baseline.with_link_speed_gbps(1.0), "exact"
+            baseline.with_link_speed_gbps(1.0), "analytic"
         )
         assert points[0].mttdl_hours == expected.mttdl_hours
 
@@ -172,7 +182,7 @@ class TestSweepAndGrid:
         first = points[0]
         assert first.coords == (("node_set_size", 16), ("drives_per_node", 4))
         for point, result in zip(points, results):
-            expected = point.config.reliability(point.params, "exact")
+            expected = point.config.reliability(point.params, "analytic")
             assert result.mttdl_hours == expected.mttdl_hours
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import evaluate
 from repro.models import (
     ALL_CONFIGURATIONS,
     Configuration,
@@ -10,7 +11,6 @@ from repro.models import (
     NoRaidNodeModel,
     Parameters,
     all_configurations,
-    evaluate,
     evaluate_all,
     sensitivity_configurations,
 )
@@ -81,19 +81,20 @@ class TestModelDispatch:
 class TestEvaluation:
     def test_exact_and_approx_methods(self, gentle_params):
         config = Configuration(InternalRaid.RAID5, 2)
-        exact = config.mttdl_hours(gentle_params, "exact")
-        approx = config.mttdl_hours(gentle_params, "approx")
+        exact = config.mttdl_hours(gentle_params, "analytic")
+        approx = config.mttdl_hours(gentle_params, "closed_form")
         assert approx == pytest.approx(exact, rel=0.05)
 
     def test_approx_for_explicit_no_raid_uses_figure_a1(self, gentle_params):
         config = Configuration(InternalRaid.NONE, 2)
-        approx = config.mttdl_hours(gentle_params, "approx")
+        approx = config.mttdl_hours(gentle_params, "closed_form")
         via_a1 = NoRaidNodeModel(gentle_params, 2).mttdl_approx()
         assert approx == pytest.approx(via_a1)
 
     def test_unknown_method(self, baseline):
-        with pytest.raises(ValueError):
-            Configuration(InternalRaid.NONE, 2).mttdl_hours(baseline, "guess")
+        for method in ("guess", "exact", "approx"):
+            with pytest.raises(ValueError, match="'analytic' or 'closed_form'"):
+                Configuration(InternalRaid.NONE, 2).mttdl_hours(baseline, method)
 
     def test_evaluate_all_covers_grid(self, baseline):
         results = evaluate_all(baseline)

@@ -102,7 +102,7 @@ def _fixture_cases():
 
 class TestFrozenChains:
     """The spec-bound chains reproduce, bit for bit, the generators the
-    pre-spec ChainBuilder construction produced (frozen in tests/data)."""
+    pre-spec imperative construction produced (frozen in tests/data)."""
 
     @staticmethod
     def _chain(case):

@@ -1,5 +1,8 @@
 """Tests for the appendix's recursive construction and Figure A1."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,54 +17,8 @@ from repro.models import (
     l_value,
     mttdl_general_approx,
 )
-from repro.models.no_raid import (
-    legacy_build_no_raid_chain_ft1,
-    legacy_build_no_raid_chain_ft2,
-    legacy_build_no_raid_chain_ft3,
-)
-from repro.models.recursive import legacy_build_recursive_chain
 
-RATES = (1e-6, 2e-6, 0.3, 3.0)
-FIGURES = {2: legacy_build_no_raid_chain_ft2, 3: legacy_build_no_raid_chain_ft3}
-
-
-def generator_as_dict(chain):
-    """Rates keyed by (source, target) for structural comparison."""
-    out = {}
-    for s in chain.states:
-        if s in chain.absorbing_states():
-            continue
-        for t, r in chain.successors(s).items():
-            out[(s, t)] = r
-    return out
-
-
-def assert_same_rates(left_chain, right_chain):
-    left = generator_as_dict(left_chain)
-    right = generator_as_dict(right_chain)
-    assert set(left) == set(right)
-    for key in left:
-        assert left[key] == pytest.approx(right[key], rel=1e-12)
-
-
-class TestMatchesExplicitFigures:
-    """The appendix-literal recursion reproduces the hand-drawn Figures
-    8-10 (both oracles of the one no-RAID family)."""
-
-    def test_k1_equals_figure8(self, baseline):
-        n, d = baseline.node_set_size, baseline.drives_per_node
-        h = h_parameters(baseline, 1)
-        figure = legacy_build_no_raid_chain_ft1(n, d, *RATES, h["N"], h["d"])
-        recursive = legacy_build_recursive_chain(1, n, d, *RATES, h)
-        assert_same_rates(figure, recursive)
-
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_k23_equal_figures(self, baseline, k):
-        n, d = baseline.node_set_size, baseline.drives_per_node
-        h = h_parameters(baseline, k)
-        figure = FIGURES[k](n, d, *RATES, h)
-        recursive = legacy_build_recursive_chain(k, n, d, *RATES, h)
-        assert_same_rates(figure, recursive)
+FIXTURE = Path(__file__).resolve().parents[1] / "data" / "oracle_chains.json"
 
 
 class TestStructure:
@@ -123,19 +80,16 @@ class TestFigureA1:
 
     def test_explicit_models_match_recursive_solve(self, baseline):
         """The level-by-level family solves like the appendix-literal
-        recursion, Figures 8-10 and beyond."""
-        for t in (1, 2, 3, 4):
+        recursion (frozen at the baseline point), Figures 8-10 and
+        beyond."""
+        frozen = {
+            case["k"]: float.fromhex(case["mttdl"])
+            for case in json.loads(FIXTURE.read_text())["cases"]
+            if case["name"].startswith("recursion_baseline_")
+        }
+        assert sorted(frozen) == [1, 2, 3, 4, 5, 6]
+        for t, recursive in frozen.items():
             model = NoRaidNodeModel(baseline, t)
-            recursive = legacy_build_recursive_chain(
-                t,
-                baseline.node_set_size,
-                baseline.drives_per_node,
-                baseline.node_failure_rate,
-                baseline.drive_failure_rate,
-                model.node_rebuild_rate,
-                model.drive_rebuild_rate,
-                model.hard_error_parameters(),
-            ).mean_time_to_absorption()
             assert recursive == pytest.approx(model.mttdl_exact(), rel=1e-9)
 
     def test_stiff_chain_solves_cleanly(self):

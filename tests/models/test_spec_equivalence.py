@@ -1,265 +1,234 @@
-"""Property tests: the spec path reproduces the legacy builders.
+"""The spec path reproduces the frozen imperative chains.
 
-Every one of the nine configuration families is expressed twice — once as
-a declarative :class:`~repro.core.spec.ModelSpec` and once as the original
-imperative builder (kept as an oracle).  These tests assert the two paths
-agree *bitwise* — same state order, same initial state, byte-for-byte
-equal generator matrices and therefore identical MTTDLs — both on
-hypothesis-randomized raw rate inputs (including the clamping regimes
-``h > 1`` and ``h = 0``) and across the 27-point verification lattice.
+Before the declarative specs were the only construction, every chain
+family also had a hand-transcribed imperative builder: Figures 1, 4,
+5-7 and 8-10 as drawn, and the appendix's literal recursion.  Their
+outputs are frozen in ``tests/data/oracle_chains.json`` (states, initial
+state, every generator nonzero and the MTTDL, as ``float.hex``): all
+nine configurations at the 27 points of the verification lattice, about
+25 seeded raw-input systems per family in the ranges the old property
+tests drew from (``h = 0`` and the ``h > 1`` clamp included), the
+recursion at k = 1-6, and the benchmarks' gentle point.
 
-The one no-internal-RAID family builds every fault tolerance level by
-level.  At k = 2 it registers ``"loss"`` after ``"Nd"`` where Figure 9's
-builder registers it last, so there the chains are compared with states
-aligned by label: the same transient order, bitwise off-diagonal rates
-and a bitwise MTTDL (the exit-rate diagonal sums the same rates in
-another order).  Beyond k = 3 it is compared with the appendix-literal
-recursion within a few ulp per rate.
+The comparison rule per case:
+
+* bitwise (states, initial state, generator, MTTDL) where the spec's
+  state tuple equals the frozen one;
+* by label at fault tolerance 2, where ``"loss"`` registers after
+  ``"Nd"`` instead of last: the same transient order, bitwise
+  off-diagonal rates and a bitwise MTTDL (the exit-rate diagonal sums
+  the same rates in another order);
+* against the appendix-literal recursion, which orders states depth
+  first and groups some rate products differently: the same edges,
+  each rate within 4 ulp and the MTTDL within 2e-15 relative.
 """
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.models.configurations import ALL_CONFIGURATIONS
-from repro.models.internal_raid import (
-    build_internal_raid_chain,
-    legacy_build_internal_raid_chain,
-)
-from repro.models.no_raid import (
-    build_no_raid_chain,
-    legacy_build_no_raid_chain_ft1,
-    legacy_build_no_raid_chain_ft2,
-    legacy_build_no_raid_chain_ft3,
-)
-from repro.models.raid import (
-    build_raid5_chain,
-    build_raid6_chain,
-    legacy_build_raid5_chain,
-    legacy_build_raid6_chain,
-)
-from repro.models.recursive import legacy_build_recursive_chain
+from repro.models import Parameters
+from repro.models.configurations import ALL_CONFIGURATIONS, Configuration
+from repro.models.internal_raid import build_internal_raid_chain
+from repro.models.no_raid import build_no_raid_chain
+from repro.models.raid import build_raid5_chain, build_raid6_chain
 from repro.verify.lattice import default_lattice
 
+FIXTURE = Path(__file__).resolve().parents[1] / "data" / "oracle_chains.json"
+DATA = json.loads(FIXTURE.read_text())
 
-def assert_bitwise_equal(spec_chain, legacy_chain):
-    assert spec_chain.states == legacy_chain.states
-    assert spec_chain.initial_state == legacy_chain.initial_state
-    assert np.array_equal(
-        spec_chain.generator_matrix(), legacy_chain.generator_matrix()
-    ), "generator matrices differ"
-    assert (
-        spec_chain.mean_time_to_absorption()
-        == legacy_chain.mean_time_to_absorption()
-    )
+RATE_ULP = 4
+MTTDL_REL = 2e-15
 
 
-def _aligned(spec_chain, legacy_chain):
-    """Both generators with the legacy states permuted into the spec's
-    order, and the off-diagonal mask."""
-    assert set(spec_chain.states) == set(legacy_chain.states)
-    order = [legacy_chain.states.index(s) for s in spec_chain.states]
-    legacy = legacy_chain.generator_matrix()[np.ix_(order, order)]
-    off = ~np.eye(len(order), dtype=bool)
-    return spec_chain.generator_matrix(), legacy, off
+def _value(v):
+    """A frozen input: ints (and bools) as stored, floats from hex."""
+    return v if isinstance(v, int) else float.fromhex(v)
 
 
-def assert_equal_by_label(spec_chain, legacy_chain):
+def _params(record):
+    return Parameters(**{name: _value(v) for name, v in record.items()})
+
+
+def _cases(family, **match):
+    return [
+        case
+        for case in DATA["cases"]
+        if case["family"] == family
+        and all(case[key] == value for key, value in match.items())
+    ]
+
+
+def _nonzeros(chain):
+    q = chain.generator_matrix()
+    rows, cols = np.nonzero(q)
+    return [[int(r), int(c), float(q[r, c]).hex()] for r, c in zip(rows, cols)]
+
+
+def _off_diagonal(states, nonzeros):
+    """Off-diagonal rates keyed by (source, target) label."""
+    return {
+        (states[r], states[c]): float.fromhex(x)
+        for r, c, x in nonzeros
+        if r != c
+    }
+
+
+def _transient(states, nonzeros):
+    exits = {r for r, c, _ in nonzeros if r != c}
+    return tuple(s for i, s in enumerate(states) if i in exits)
+
+
+def assert_bitwise_equal(chain, case):
+    name = case["name"]
+    assert chain.states == tuple(case["states"]), name
+    assert chain.initial_state == case["initial_state"], name
+    assert _nonzeros(chain) == case["generator"], name
+    assert chain.mean_time_to_absorption().hex() == case["mttdl"], name
+
+
+def assert_equal_by_label(chain, case):
     """Same transient order and initial state, bitwise off-diagonal rates
     and MTTDL; the exit-rate diagonal may differ by summation order."""
-    assert spec_chain.transient_states() == legacy_chain.transient_states()
-    assert spec_chain.initial_state == legacy_chain.initial_state
-    spec, legacy, off = _aligned(spec_chain, legacy_chain)
-    assert np.array_equal(spec[off], legacy[off]), "off-diagonal rates differ"
-    assert (
-        spec_chain.mean_time_to_absorption()
-        == legacy_chain.mean_time_to_absorption()
-    )
+    name = case["name"]
+    states = tuple(case["states"])
+    assert set(chain.states) == set(states), name
+    assert chain.transient_states() == _transient(states, case["generator"]), name
+    assert chain.initial_state == case["initial_state"], name
+    assert _off_diagonal(chain.states, _nonzeros(chain)) == _off_diagonal(
+        states, case["generator"]
+    ), name
+    assert chain.mean_time_to_absorption().hex() == case["mttdl"], name
 
 
-def assert_within_ulp(spec_chain, legacy_chain, ulp=4, mttdl_rel=2e-15):
-    """Same states and edges, each rate within ``ulp`` units in the last
-    place, MTTDL within ``mttdl_rel`` relative."""
-    spec, legacy, off = _aligned(spec_chain, legacy_chain)
-    assert np.array_equal(spec[off] != 0, legacy[off] != 0), "edge sets differ"
-    scale = np.spacing(np.maximum(np.abs(spec[off]), np.abs(legacy[off])))
-    assert np.all(np.abs(spec[off] - legacy[off]) <= ulp * scale)
-    exact = legacy_chain.mean_time_to_absorption()
-    assert spec_chain.mean_time_to_absorption() == pytest.approx(
-        exact, rel=mttdl_rel, abs=0.0
-    )
+def assert_within_ulp(chain, case):
+    """Same states and edges, each rate within ``RATE_ULP`` units in the
+    last place, MTTDL within ``MTTDL_REL`` relative."""
+    name = case["name"]
+    assert set(chain.states) == set(case["states"]), name
+    assert chain.initial_state == case["initial_state"], name
+    spec = _off_diagonal(chain.states, _nonzeros(chain))
+    frozen = _off_diagonal(tuple(case["states"]), case["generator"])
+    assert spec.keys() == frozen.keys(), f"{name}: edge sets differ"
+    for edge, rate in frozen.items():
+        scale = np.spacing(max(abs(spec[edge]), abs(rate)))
+        assert abs(spec[edge] - rate) <= RATE_ULP * scale, (name, edge)
+    exact = float.fromhex(case["mttdl"])
+    assert chain.mean_time_to_absorption() == pytest.approx(
+        exact, rel=MTTDL_REL, abs=0.0
+    ), name
 
 
-# Rates stay positive but span many decades, h-probabilities deliberately
-# include 0 (edges vanish in the legacy builder) and values past 1 (the
-# clamp regime).
-rate = st.floats(min_value=1e-9, max_value=1e-2, allow_nan=False)
-repair = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
-h_prob = st.one_of(
-    st.just(0.0),
-    st.floats(min_value=0.0, max_value=1.5, allow_nan=False),
-)
+def assert_matches_figure(chain, case, fault_tolerance):
+    """Bitwise where the state tuples agree; by label at FT2 only."""
+    if chain.states == tuple(case["states"]):
+        assert_bitwise_equal(chain, case)
+    else:
+        assert fault_tolerance == 2, case["name"]
+        assert_equal_by_label(chain, case)
 
 
-def _h_words(k, values):
-    words = [""]
-    for _ in range(k):
-        words = [w + letter for w in words for letter in "Nd"]
-    words = sorted(words, key=lambda w: [0 if c == "N" else 1 for c in w])
-    return dict(zip(words, values))
+def _no_raid_chain(case, args=None):
+    h = {word: _value(v) for word, v in case["h"].items()}
+    if args is None:
+        args = [_value(a) for a in case["args"]]
+    return build_no_raid_chain(case["k"], *args, h)
+
+
+def _model_chain(case, params):
+    return Configuration.from_key(case["config"]).model(params).chain()
 
 
 class TestNoRaidFamilies:
-    @settings(max_examples=25, deadline=None)
-    @given(
-        n=st.integers(min_value=2, max_value=128),
-        d=st.integers(min_value=1, max_value=24),
-        lam_n=rate,
-        lam_d=rate,
-        mu_n=repair,
-        mu_d=repair,
-        h_n=h_prob,
-        h_d=h_prob,
-    )
-    def test_ft1(self, n, d, lam_n, lam_d, mu_n, mu_d, h_n, h_d):
-        spec = build_no_raid_chain(
-            1, n, d, lam_n, lam_d, mu_n, mu_d, {"N": h_n, "d": h_d}
-        )
-        legacy = legacy_build_no_raid_chain_ft1(
-            n, d, lam_n, lam_d, mu_n, mu_d, h_n, h_d
-        )
-        assert_bitwise_equal(spec, legacy)
+    """Figures 8, 9 and 10 on seeded raw inputs."""
 
-    @settings(max_examples=25, deadline=None)
-    @given(
-        n=st.integers(min_value=3, max_value=128),
-        d=st.integers(min_value=1, max_value=24),
-        lam_n=rate,
-        lam_d=rate,
-        mu_n=repair,
-        mu_d=repair,
-        hs=st.lists(h_prob, min_size=4, max_size=4),
-    )
-    def test_ft2(self, n, d, lam_n, lam_d, mu_n, mu_d, hs):
-        h = _h_words(2, hs)
-        spec = build_no_raid_chain(2, n, d, lam_n, lam_d, mu_n, mu_d, h)
-        legacy = legacy_build_no_raid_chain_ft2(
-            n, d, lam_n, lam_d, mu_n, mu_d, h
-        )
-        assert_equal_by_label(spec, legacy)
+    @staticmethod
+    def _run(k):
+        cases = _cases("no_raid", k=k)
+        assert len(cases) == 25
+        for case in cases:
+            assert_matches_figure(_no_raid_chain(case), case, k)
 
-    @settings(max_examples=25, deadline=None)
-    @given(
-        n=st.integers(min_value=4, max_value=128),
-        d=st.integers(min_value=1, max_value=24),
-        lam_n=rate,
-        lam_d=rate,
-        mu_n=repair,
-        mu_d=repair,
-        hs=st.lists(h_prob, min_size=8, max_size=8),
-    )
-    def test_ft3(self, n, d, lam_n, lam_d, mu_n, mu_d, hs):
-        h = _h_words(3, hs)
-        spec = build_no_raid_chain(3, n, d, lam_n, lam_d, mu_n, mu_d, h)
-        legacy = legacy_build_no_raid_chain_ft3(
-            n, d, lam_n, lam_d, mu_n, mu_d, h
-        )
-        assert_bitwise_equal(spec, legacy)
+    def test_ft1(self):
+        self._run(1)
+
+    def test_ft2(self):
+        self._run(2)
+
+    def test_ft3(self):
+        self._run(3)
+
+    def test_one_ulp_rate_change_is_caught(self):
+        """Figure 9 is compared by label, yet still bitwise."""
+        case = _cases("no_raid", k=2)[2]
+        assert_matches_figure(_no_raid_chain(case), case, 2)
+        args = [_value(a) for a in case["args"]]
+        args[-1] = float(np.nextafter(args[-1], np.inf))  # mu_d
+        with pytest.raises(AssertionError):
+            assert_matches_figure(_no_raid_chain(case, args), case, 2)
 
 
 class TestRecursiveFamily:
-    @settings(max_examples=20, deadline=None)
-    @given(
-        k=st.integers(min_value=1, max_value=6),
-        extra_n=st.integers(min_value=1, max_value=64),
-        d=st.integers(min_value=1, max_value=24),
-        lam_n=rate,
-        lam_d=rate,
-        mu_n=repair,
-        mu_d=repair,
-        seed=st.integers(min_value=0, max_value=2**31),
-    )
-    def test_arbitrary_k(self, k, extra_n, d, lam_n, lam_d, mu_n, mu_d, seed):
-        n = k + extra_n
-        rng = np.random.default_rng(seed)
-        h = _h_words(k, [float(v) for v in rng.uniform(0.0, 1.5, 2**k)])
-        spec = build_no_raid_chain(k, n, d, lam_n, lam_d, mu_n, mu_d, h)
-        legacy = legacy_build_recursive_chain(
-            k, n, d, lam_n, lam_d, mu_n, mu_d, h
-        )
-        assert_within_ulp(spec, legacy)
+    def test_arbitrary_k(self):
+        """The one family against the appendix-literal recursion at
+        k = 1-6: the baseline point and seeded raw inputs."""
+        cases = _cases("recursion")
+        assert sorted({case["k"] for case in cases}) == [1, 2, 3, 4, 5, 6]
+        for case in cases:
+            assert_within_ulp(_no_raid_chain(case), case)
 
 
 class TestInternalRaidFamily:
-    @settings(max_examples=25, deadline=None)
-    @given(
-        t=st.integers(min_value=1, max_value=3),
-        extra_n=st.integers(min_value=1, max_value=64),
-        lam_n=rate,
-        lam_big_d=rate,
-        lam_s=rate,
-        mu_n=repair,
-        k_t=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-        parallel=st.booleans(),
-    )
-    def test_all_tolerances(
-        self, t, extra_n, lam_n, lam_big_d, lam_s, mu_n, k_t, parallel
-    ):
-        n = t + extra_n
-        spec = build_internal_raid_chain(
-            t, n, lam_n, lam_big_d, lam_s, mu_n, k_t, parallel
-        )
-        legacy = legacy_build_internal_raid_chain(
-            t, n, lam_n, lam_big_d, lam_s, mu_n, k_t, parallel
-        )
-        assert_bitwise_equal(spec, legacy)
+    def test_all_tolerances(self):
+        """Figures 5-7 at t = 1-3, serial and parallel repair."""
+        cases = _cases("internal_raid")
+        assert {case["args"][-1] for case in cases} == {True, False}
+        for case in cases:
+            args = [_value(a) for a in case["args"]]
+            assert_bitwise_equal(build_internal_raid_chain(*args), case)
 
 
 class TestDriveLevelRaidFamilies:
-    @settings(max_examples=25, deadline=None)
-    @given(
-        d=st.integers(min_value=2, max_value=24),
-        lam=rate,
-        mu=repair,
-        h=h_prob,
-        split=st.booleans(),
-    )
-    def test_raid5(self, d, lam, mu, h, split):
-        assert_bitwise_equal(
-            build_raid5_chain(d, lam, mu, h, split),
-            legacy_build_raid5_chain(d, lam, mu, h, split),
-        )
+    @staticmethod
+    def _run(family, build):
+        cases = _cases(family)
+        assert {case["args"][-1] for case in cases} == {True, False}
+        for case in cases:
+            args = [_value(a) for a in case["args"]]
+            assert_bitwise_equal(build(*args), case)
 
-    @settings(max_examples=25, deadline=None)
-    @given(
-        d=st.integers(min_value=3, max_value=24),
-        lam=rate,
-        mu=repair,
-        h=h_prob,
-        split=st.booleans(),
-    )
-    def test_raid6(self, d, lam, mu, h, split):
-        assert_bitwise_equal(
-            build_raid6_chain(d, lam, mu, h, split),
-            legacy_build_raid6_chain(d, lam, mu, h, split),
-        )
+    def test_raid5(self):
+        self._run("raid5", build_raid5_chain)
+
+    def test_raid6(self):
+        self._run("raid6", build_raid6_chain)
 
 
 class TestModelPathOnLattice:
     """All nine paper configurations, at every point of the 27-point
     verification lattice: model.chain() (the compiled-spec path) must
-    match model.legacy_chain() (the imperative oracle) by label, and
-    bitwise wherever the state orders agree."""
+    match the frozen chain by label, and bitwise wherever the state
+    orders agree."""
+
+    def test_lattice_is_the_verification_lattice(self):
+        assert [_params(p) for p in DATA["lattice"]] == default_lattice()
 
     @pytest.mark.parametrize(
         "config", ALL_CONFIGURATIONS, ids=lambda c: c.key
     )
     def test_all_configs_all_points(self, config):
-        for params in default_lattice():
-            model = config.model(params)
-            spec, legacy = model.chain(), model.legacy_chain()
-            if spec.states == legacy.states:
-                assert_bitwise_equal(spec, legacy)
-            else:
-                assert_equal_by_label(spec, legacy)
+        cases = _cases("lattice", config=config.key)
+        assert [case["point"] for case in cases] == list(range(27))
+        for case in cases:
+            params = _params(DATA["lattice"][case["point"]])
+            assert_matches_figure(
+                _model_chain(case, params), case, config.node_fault_tolerance
+            )
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_gentle_point(self, k):
+        """The benchmarks' gentle point, where the closed forms are tight."""
+        (case,) = _cases("gentle", config=f"ft{k}_noraid")
+        assert_matches_figure(_model_chain(case, _params(case["params"])), case, k)

@@ -341,6 +341,42 @@ def test_error_statuses():
     assert results["oversize"][0] == 413
 
 
+def test_fault_tolerance_above_the_served_bound_answers_400():
+    """Every route that names a fault tolerance refuses one above
+    MAX_FAULT_TOLERANCE before building its chain, naming the bound; the
+    bound itself is served."""
+    sweep = {"axis": {"name": "drive_mttf_hours", "values": [3e5]}}
+
+    async def drive():
+        async with serving(ServeConfig(port=0)) as server:
+            host, port = server.host, server.port
+            return {
+                "evaluate": await _request(
+                    host, port, "POST", "/v1/evaluate", {"config": "ft7_noraid"}
+                ),
+                "sweep": await _request(
+                    host, port, "POST", "/v1/sweep",
+                    {"configs": ["ft2_raid5", "ft7_raid5"], **sweep},
+                ),
+                "advise": await _request(
+                    host, port, "POST", "/v1/advise",
+                    {"space": {"internal": ["none"], "fault_tolerance": [1, 7]}},
+                ),
+                "at_bound": await _request(
+                    host, port, "POST", "/v1/evaluate", {"config": "ft6_noraid"}
+                ),
+            }
+
+    results = _run(drive())
+    for route in ("evaluate", "sweep", "advise"):
+        status, _, payload = results[route]
+        assert status == 400, (route, payload)
+        assert "fault tolerance 7" in payload["error"]
+        assert "maximum of 6" in payload["error"]
+    status, _, payload = results["at_bound"]
+    assert status == 200, payload
+
+
 def test_non_finite_json_literal_refused_at_parse():
     body = b'{"points": [{"config": "ft2_raid5", "params": {"node_mttf_hours": NaN}}]}'
 

@@ -7,6 +7,7 @@ from repro.engine.keys import point_key
 from repro.models.configurations import Configuration
 from repro.models.metrics import ReliabilityResult
 from repro.serve.protocol import (
+    MAX_FAULT_TOLERANCE,
     MAX_POINTS_PER_REQUEST,
     MAX_SWEEP_VALUES,
     PointQuery,
@@ -101,9 +102,16 @@ class TestParseEvaluateBody:
 
     def test_method_normalization(self, baseline):
         q = parse_evaluate_body(
-            {"config": "ft1_raid5", "method": "approx"}, baseline
+            {"config": "ft1_raid5", "method": "closed_form"}, baseline
         )[0]
         assert q.method == "closed_form"
+        for spelling in ("exact", "approx"):
+            with pytest.raises(
+                ProtocolError, match="'analytic', 'closed_form' or 'monte_carlo'"
+            ):
+                parse_evaluate_body(
+                    {"config": "ft1_raid5", "method": spelling}, baseline
+                )
 
     def test_unknown_method(self, baseline):
         with pytest.raises(ProtocolError):
@@ -114,6 +122,29 @@ class TestParseEvaluateBody:
     def test_unknown_config(self, baseline):
         with pytest.raises(ProtocolError):
             parse_evaluate_body({"config": "ft9_raid0"}, baseline)
+
+    @pytest.mark.parametrize("key", ["ft7_noraid", "ft7_raid6", "ft40_noraid"])
+    def test_fault_tolerance_bound(self, baseline, key):
+        with pytest.raises(
+            ProtocolError, match=f"maximum of {MAX_FAULT_TOLERANCE}"
+        ):
+            parse_evaluate_body({"config": key}, baseline)
+        with pytest.raises(
+            ProtocolError, match=f"maximum of {MAX_FAULT_TOLERANCE}"
+        ):
+            parse_sweep_body(
+                {
+                    "configs": [key],
+                    "axis": {"name": "drive_mttf_hours", "values": [3e5]},
+                },
+                baseline,
+            )
+
+    def test_fault_tolerance_at_bound_accepted(self, baseline):
+        (query,) = parse_evaluate_body(
+            {"config": f"ft{MAX_FAULT_TOLERANCE}_noraid"}, baseline
+        )
+        assert query.config.node_fault_tolerance == MAX_FAULT_TOLERANCE
 
     def test_missing_config(self, baseline):
         with pytest.raises(ProtocolError, match='"config"'):
@@ -249,6 +280,13 @@ class TestParseSweepBody:
     def test_monte_carlo_rejected(self, baseline):
         with pytest.raises(ProtocolError, match="monte_carlo"):
             parse_sweep_body(dict(self.BODY, method="monte_carlo"), baseline)
+
+    @pytest.mark.parametrize("method", ["exact", "approx"])
+    def test_pre_engine_spellings_rejected(self, baseline, method):
+        with pytest.raises(
+            ProtocolError, match="'analytic', 'closed_form' or 'monte_carlo'"
+        ):
+            parse_sweep_body(dict(self.BODY, method=method), baseline)
 
     def test_values_cap(self, baseline):
         body = dict(

@@ -78,12 +78,7 @@ class TestValidateCli:
         from repro.sim.monte_carlo import MonteCarloResult
 
         def chain_value(config, params):
-            if config.internal is cli.InternalRaid.NONE:
-                return config.mttdl_hours(params)
-            return cli.InternalRaidNodeModel(
-                params, config.internal, config.node_fault_tolerance,
-                rates_method="exact",
-            ).mttdl_exact()
+            return config.model(params, rates_method="exact").mttdl_exact()
 
         def fake(config, params, replicas, seed, jobs, cache):
             chain = chain_value(config, params)
